@@ -27,23 +27,23 @@
 //!   full simulation and fails on any mismatch.
 //!
 //! The sharding binaries (`table1`, `figure1`, `ablation_fifo`,
-//! `ablation_oracle`) additionally accept the process-sharding flags
-//! ([`ShardArgs`], backed by `wp_dist`):
+//! `ablation_oracle`, `dse`) additionally accept the process-sharding
+//! flags ([`ShardArgs`], backed by `wp_dist`):
 //!
-//! * `--shards N` — the parent mode: fork `N` worker processes (one
-//!   contiguous submission-order range each, re-invoking the current
-//!   executable), merge their NDJSON results and print exactly what a
-//!   single-process run prints;
-//! * `--hosts hosts.conf` — the cross-machine parent mode: dispatch one
-//!   worker per hostfile entry through its declared transport
+//! * `--shards N` — the local parent mode: a fleet of `N` capacity-1
+//!   `local` hosts, each re-invoking the current executable;
+//! * `--hosts hosts.conf` — the cross-machine parent mode: one worker per
+//!   hostfile entry through its declared transport
 //!   (`local`/`ssh`/`container`/`shell`), each sized by the host's
-//!   `capacity` weight, with failover to another host on a failed shard
-//!   (see the README's *Cross-machine sweeps*);
-//! * `--shard i/N` — the worker mode: run only shard `i`'s range and emit
-//!   NDJSON records (implies `--emit-ndjson`);
-//! * `--shard-range A..B` — an explicit submission-order range overriding
-//!   the uniform `i/N` split; the dispatching parent appends it so a
-//!   capacity-weighted worker runs exactly the rows its host was assigned;
+//!   `capacity` weight.
+//!
+//!   Both parent modes take the same path ([`wp_dist::run_dispatched`]):
+//!   they merge the workers' NDJSON results, print exactly what a
+//!   single-process run prints, and fail a failed shard over to the other
+//!   hosts in turn (see the README's *Distributed sweeps*);
+//! * `--shard-range A..B` — the worker mode: run only the submission-order
+//!   rows `A..B` and emit NDJSON records (implies `--emit-ndjson`); the
+//!   parent appends it to every worker's command line;
 //! * `--emit-ndjson` — emit one machine-readable JSON record per result
 //!   row on stdout instead of the human-readable report.
 //!
@@ -53,9 +53,8 @@
 
 use std::fmt;
 use std::ops::Range;
-use std::process::Command;
 
-use wp_dist::{load_hostfile, run_dispatched, run_sharded, Json, ShardPlan, ShardSpec};
+use wp_dist::{load_hostfile, run_dispatched, Host, Json, LocalProcess, ShardPlan};
 use wp_sim::SweepRunner;
 
 /// A malformed command line, as reported by [`flag_value`] and
@@ -314,26 +313,22 @@ impl SweepArgs {
     }
 }
 
-/// Parsed `--shards` / `--hosts` / `--shard` / `--shard-range` /
-/// `--emit-ndjson` process-sharding flags (see the module docs for the
-/// protocol).
+/// Parsed `--shards` / `--hosts` / `--shard-range` / `--emit-ndjson`
+/// process-sharding flags (see the module docs for the protocol).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardArgs {
-    /// Worker-process count requested with `--shards N` (`0` and `1` both
-    /// mean "run in this process").
+    /// Local worker-process count requested with `--shards N` (`0` and `1`
+    /// both mean "run in this process").
     pub shards: usize,
     /// Hostfile path requested with `--hosts PATH`: dispatch one worker
     /// per declared host through its transport (cross-machine parent
     /// mode).
     pub hosts: Option<String>,
-    /// This process's worker identity, when `--shard i/N` was given.
-    pub shard: Option<ShardSpec>,
-    /// The explicit submission-order range from `--shard-range A..B`,
-    /// overriding the uniform `i/N` split (appended by a capacity-weighted
-    /// dispatching parent).
+    /// This worker's submission-order range, when `--shard-range A..B` was
+    /// given (appended by the dispatching parent).
     pub range: Option<Range<usize>>,
     /// Whether to emit NDJSON records instead of the human-readable report
-    /// (`--emit-ndjson`, implied by `--shard`).
+    /// (`--emit-ndjson`, implied by `--shard-range`).
     pub emit_ndjson: bool,
 }
 
@@ -343,10 +338,8 @@ impl ShardArgs {
     ///
     /// # Errors
     ///
-    /// Returns [`ArgError`] on a malformed value or when `--shards` and
-    /// `--shard` are combined (the parent strips `--shards` from the argv
-    /// it hands to workers, so seeing both means a mis-assembled command
-    /// line).
+    /// Returns [`ArgError`] on a malformed value or a conflicting
+    /// combination — see [`ShardArgs::from_args`].
     pub fn from_env() -> Result<Self, ArgError> {
         let args: Vec<String> = std::env::args().skip(1).collect();
         Self::from_args(&args)
@@ -357,9 +350,10 @@ impl ShardArgs {
     /// # Errors
     ///
     /// Returns [`ArgError`] on a malformed value or a conflicting
-    /// combination (`--shards`/`--hosts`/`--shard` are mutually exclusive,
-    /// parent modes reject `--emit-ndjson`, and `--shard-range` is only
-    /// meaningful next to `--shard`).
+    /// combination: `--shards`, `--hosts` and `--shard-range` are mutually
+    /// exclusive (the parent strips its own flags from the argv it hands
+    /// to workers, so seeing two means a mis-assembled command line), and
+    /// parent modes reject `--emit-ndjson`.
     pub fn from_args(args: &[String]) -> Result<Self, ArgError> {
         let shards = match flag_value(args, "--shards")? {
             None => 0,
@@ -372,14 +366,6 @@ impl ShardArgs {
             })?,
         };
         let hosts = flag_value(args, "--hosts")?;
-        let shard = match flag_value(args, "--shard")? {
-            None => None,
-            Some(v) => Some(ShardSpec::parse(&v).map_err(|_| ArgError::InvalidValue {
-                flag: "--shard".to_string(),
-                value: v,
-                expected: "i/N with i < N (e.g. 0/4)",
-            })?),
-        };
         let range = match flag_value(args, "--shard-range")? {
             None => None,
             Some(v) => Some(parse_range(&v).ok_or_else(|| ArgError::InvalidValue {
@@ -395,13 +381,6 @@ impl ShardArgs {
                 expected,
             })
         };
-        if shards > 1 && shard.is_some() {
-            return conflict(
-                "--shards",
-                shards.to_string(),
-                "to not be combined with --shard (workers are spawned by the parent)",
-            );
-        }
         if let Some(path) = &hosts {
             if shards > 0 {
                 return conflict(
@@ -410,21 +389,16 @@ impl ShardArgs {
                     "to not be combined with --shards (the hostfile sizes the fleet)",
                 );
             }
-            if shard.is_some() {
+        }
+        if let Some(range) = &range {
+            if shards > 0 || hosts.is_some() {
                 return conflict(
-                    "--hosts",
-                    path.clone(),
-                    "to not be combined with --shard (the parent strips --hosts from worker \
-                     command lines)",
+                    "--shard-range",
+                    format!("{}..{}", range.start, range.end),
+                    "to not be combined with --shards or --hosts (workers are spawned by the \
+                     parent)",
                 );
             }
-        }
-        if range.is_some() && shard.is_none() {
-            return conflict(
-                "--shard-range",
-                "".to_string(),
-                "to be combined with --shard i/N (the dispatching parent appends both)",
-            );
         }
         let emit_ndjson = args.iter().any(|a| a == "--emit-ndjson");
         if (shards > 1 || hosts.is_some()) && emit_ndjson {
@@ -441,42 +415,37 @@ impl ShardArgs {
         Ok(Self {
             shards,
             hosts,
-            shard,
+            emit_ndjson: emit_ndjson || range.is_some(),
             range,
-            emit_ndjson: emit_ndjson || shard.is_some(),
         })
     }
 
     /// Whether this invocation is the sharding parent (it should spawn
-    /// workers instead of sweeping itself) — either the local `--shards N`
-    /// fork or the cross-machine `--hosts` dispatch.
+    /// workers instead of sweeping itself) — either a local `--shards N`
+    /// fleet or a `--hosts` fleet.
     pub fn is_parent(&self) -> bool {
         self.shards > 1 || self.hosts.is_some()
     }
 
     /// The submission-order range this worker runs, out of `n_items` total:
-    /// the explicit `--shard-range` when present (clamped to `n_items`),
-    /// else the uniform split of `--shard i/N`, else everything.
+    /// the `--shard-range` (clamped to `n_items`) when present, else
+    /// everything.
     pub fn worker_range(&self, n_items: usize) -> Range<usize> {
-        if let Some(range) = &self.range {
-            return range.start.min(n_items)..range.end.min(n_items);
-        }
-        match self.shard {
-            Some(spec) => spec.range(n_items),
+        match &self.range {
+            Some(range) => range.start.min(n_items)..range.end.min(n_items),
             None => 0..n_items,
         }
     }
 
-    /// The argv for worker `shard`: this process's own arguments with the
-    /// parent-side flags (`--shards`, `--hosts`, stale `--shard` /
-    /// `--shard-range` / `--emit-ndjson`) removed and `--shard i/N
-    /// --shard-range A..B --emit-ndjson` appended.  The explicit range
-    /// makes the worker independent of how the parent planned the split
-    /// (uniform or capacity-weighted), and stripping `--hosts` guarantees
-    /// a dispatched worker never re-dispatches.
-    pub fn worker_args(args: &[String], shard: ShardSpec, range: &Range<usize>) -> Vec<String> {
-        const PARENT_FLAGS: [&str; 4] = ["--shards", "--shard", "--shard-range", "--hosts"];
-        let mut out = Vec::with_capacity(args.len() + 5);
+    /// The argv for the worker running `range`: this process's own
+    /// arguments with the parent-side flags (`--shards`, `--hosts`, stale
+    /// `--shard-range` / `--emit-ndjson`) removed and `--shard-range A..B
+    /// --emit-ndjson` appended.  The explicit range makes the worker
+    /// independent of how the parent planned the split, and stripping
+    /// `--hosts` guarantees a dispatched worker never re-dispatches.
+    pub fn worker_args(args: &[String], range: &Range<usize>) -> Vec<String> {
+        const PARENT_FLAGS: [&str; 3] = ["--shards", "--shard-range", "--hosts"];
+        let mut out = Vec::with_capacity(args.len() + 3);
         let mut skip_value = false;
         for arg in args {
             if skip_value {
@@ -499,39 +468,49 @@ impl ShardArgs {
             }
             out.push(arg.clone());
         }
-        out.push("--shard".to_string());
-        out.push(shard.to_string());
         out.push("--shard-range".to_string());
         out.push(format!("{}..{}", range.start, range.end));
         out.push("--emit-ndjson".to_string());
         out
     }
 
+    /// The fleet this parent dispatches to: the `--hosts` hostfile, or for
+    /// `--shards N` a fleet of `N` capacity-1 [`LocalProcess`] hosts
+    /// running the current executable.
+    fn fleet(&self) -> Result<Vec<Host>, wp_dist::DistError> {
+        match &self.hosts {
+            Some(path) => load_hostfile(path),
+            None => Ok((0..self.shards)
+                .map(|i| Host {
+                    name: format!("local{i}"),
+                    capacity: 1,
+                    binary: None,
+                    transport: Box::new(LocalProcess),
+                })
+                .collect()),
+        }
+    }
+
     /// The parent side of a sharded experiment, shared by every sharding
-    /// binary: plans `n_items` result rows over contiguous ranges, logs
-    /// the fork to stderr (`noun` names a row, e.g. "table row"; `gate`
-    /// reports the equivalence gate, or `None` for binaries without one),
-    /// spawns one worker per populated shard and returns the merged NDJSON
-    /// records in submission order.
-    ///
-    /// With `--shards N` the split is uniform and every worker is a
-    /// re-invocation of the current executable on this machine; with
-    /// `--hosts hosts.conf` the split is weighted by each host's declared
-    /// capacity and every worker is launched through its host's transport
-    /// ([`wp_dist::run_dispatched`], with failover to another host when a
-    /// shard's first host fails).
+    /// binary: plans `n_items` result rows over the fleet (the `--hosts`
+    /// hostfile, or `N` capacity-1 local hosts for `--shards N`) weighted
+    /// by each host's capacity, logs the dispatch to stderr (`noun` names
+    /// a row, e.g. "table row"; `gate` reports the equivalence gate, or
+    /// `None` for binaries without one), launches one worker per populated
+    /// shard through its host's transport ([`wp_dist::run_dispatched`],
+    /// with failover to another host when a shard fails) and returns the
+    /// merged NDJSON records in submission order.
     ///
     /// When the command line did not pin `--workers`, every worker that
-    /// executes on *this* machine — all of them in the local mode, and the
-    /// `local`/`shell` hosts of a dispatch
-    /// ([`wp_dist::Transport::runs_on_dispatcher`]) — is handed an equal
-    /// share of the machine's cores (`available_parallelism` divided by
-    /// the number of co-located workers, at least 1) so that a forked
-    /// sweep does not oversubscribe the CPU with `shards × cores` threads.
-    /// Workers on remote hosts (ssh, container) get no override: each
-    /// sizes its own sweep from its own machine's `available_parallelism`.
-    /// Results are unaffected either way — sweep outcomes are
-    /// worker-count-independent.
+    /// executes on *this* machine — the `local`/`shell` hosts
+    /// ([`wp_dist::Transport::runs_on_dispatcher`]), so every `--shards`
+    /// worker — is handed an equal share of the machine's cores
+    /// (`available_parallelism` divided by the number of co-located
+    /// workers, at least 1) so that a forked sweep does not oversubscribe
+    /// the CPU with `shards × cores` threads.  Workers on remote hosts
+    /// (ssh, container) get no override: each sizes its own sweep from its
+    /// own machine's `available_parallelism`.  Results are unaffected
+    /// either way — sweep outcomes are worker-count-independent.
     ///
     /// # Errors
     ///
@@ -554,73 +533,44 @@ impl ShardArgs {
         // DistErrors are surfaced as their Display text: a binary's `main`
         // prints `Err` via Debug, which would bury the line-numbered
         // hostfile messages in struct syntax.
-        if let Some(path) = &self.hosts {
-            let hosts = load_hostfile(path).map_err(|e| e.to_string())?;
-            let capacities: Vec<usize> = hosts.iter().map(|h| h.capacity).collect();
-            let plan = ShardPlan::split_weighted(n_items, &capacities);
-            eprintln!(
-                "dispatching {n_items} {noun}(s) across {} of {} host(s) from {path}{gate_note}",
-                plan.populated_shards().count(),
-                hosts.len(),
-            );
-            let default_binary = exe
-                .to_str()
-                .ok_or("the current executable path is not UTF-8; set binary= per host")?;
-            // Divide this machine's cores across the workers that run on
-            // it (shell/local hosts); remote hosts size their own sweeps.
-            // The share is keyed to the shard's *assigned* host: a
-            // failed-over shard keeps its argv, which at worst under- or
-            // over-threads one retry without affecting results.
-            let co_located = plan
-                .populated_shards()
-                .filter(|&s| hosts[s].transport.runs_on_dispatcher())
-                .count();
-            let workers_share = if flag_value(&args, "--workers")?.is_none() && co_located > 0 {
-                let cores = std::thread::available_parallelism().map_or(1, usize::from);
-                Some((cores / co_located).max(1))
-            } else {
-                None
-            };
-            let records = run_dispatched(&plan, &hosts, default_binary, |shard| {
-                let mut worker_args = Self::worker_args(
-                    &args,
-                    ShardSpec {
-                        index: shard,
-                        total: plan.shards(),
-                    },
-                    &plan.range(shard),
-                );
-                if let (Some(share), true) =
-                    (workers_share, hosts[shard].transport.runs_on_dispatcher())
-                {
-                    worker_args.push(format!("--workers={share}"));
-                }
-                worker_args
-            })
-            .map_err(|e| e.to_string())?;
-            return Ok(records);
-        }
-
-        let plan = ShardPlan::split(n_items, self.shards);
-        let workers = plan.populated_shards().count();
-        eprintln!("sharding {n_items} {noun}(s) across {workers} worker process(es){gate_note}");
-        let mut args = args;
-        if flag_value(&args, "--workers")?.is_none() {
+        let hosts = self.fleet().map_err(|e| e.to_string())?;
+        let capacities: Vec<usize> = hosts.iter().map(|h| h.capacity).collect();
+        let plan = ShardPlan::split_weighted(n_items, &capacities);
+        let source = match &self.hosts {
+            Some(path) => format!("from {path}"),
+            None => format!("(--shards {})", self.shards),
+        };
+        eprintln!(
+            "dispatching {n_items} {noun}(s) across {} of {} host(s) {source}{gate_note}",
+            plan.populated_shards().count(),
+            hosts.len(),
+        );
+        let default_binary = exe
+            .to_str()
+            .ok_or("the current executable path is not UTF-8; use --hosts with binary= per host")?;
+        // Divide this machine's cores across the workers that run on it
+        // (local/shell hosts); remote hosts size their own sweeps.  The
+        // share is keyed to the shard's *assigned* host: a failed-over
+        // shard keeps its argv, which at worst under- or over-threads one
+        // retry without affecting results.
+        let co_located = plan
+            .populated_shards()
+            .filter(|&s| hosts[s].transport.runs_on_dispatcher())
+            .count();
+        let workers_share = if flag_value(&args, "--workers")?.is_none() && co_located > 0 {
             let cores = std::thread::available_parallelism().map_or(1, usize::from);
-            let share = (cores / workers.max(1)).max(1);
-            args.push(format!("--workers={share}"));
-        }
-        let records = run_sharded(&plan, |shard| {
-            let mut command = Command::new(&exe);
-            command.args(Self::worker_args(
-                &args,
-                ShardSpec {
-                    index: shard,
-                    total: plan.shards(),
-                },
-                &plan.range(shard),
-            ));
-            command
+            Some((cores / co_located).max(1))
+        } else {
+            None
+        };
+        let records = run_dispatched(&plan, &hosts, default_binary, |shard| {
+            let mut worker_args = Self::worker_args(&args, &plan.range(shard));
+            if let (Some(share), true) =
+                (workers_share, hosts[shard].transport.runs_on_dispatcher())
+            {
+                worker_args.push(format!("--workers={share}"));
+            }
+            worker_args
         })
         .map_err(|e| e.to_string())?;
         Ok(records)
@@ -796,15 +746,15 @@ mod tests {
         assert!(parent.is_parent());
         assert!(!parent.emit_ndjson);
 
-        let worker = ShardArgs::from_args(&strings(&["--shard=2/4", "--quick"])).expect("parses");
-        let spec = worker.shard.expect("worker mode");
-        assert_eq!((spec.index, spec.total), (2, 4));
+        let worker =
+            ShardArgs::from_args(&strings(&["--shard-range=2..5", "--quick"])).expect("parses");
+        assert_eq!(worker.range, Some(2..5));
         assert!(!worker.is_parent());
-        assert!(worker.emit_ndjson, "--shard implies --emit-ndjson");
+        assert!(worker.emit_ndjson, "--shard-range implies --emit-ndjson");
 
         let ndjson = ShardArgs::from_args(&strings(&["--emit-ndjson"])).expect("parses");
         assert!(ndjson.emit_ndjson);
-        assert!(ndjson.shard.is_none());
+        assert!(ndjson.range.is_none());
 
         // One shard is the in-process path, not the parent path.
         assert!(!ShardArgs::from_args(&strings(&["--shards", "1"]))
@@ -813,21 +763,42 @@ mod tests {
     }
 
     #[test]
+    fn shards_plan_a_fleet_of_capacity_one_local_hosts() {
+        let args = ShardArgs::from_args(&strings(&["--shards", "3", "--quick"])).expect("parses");
+        let fleet = args.fleet().expect("no hostfile to read");
+        assert_eq!(fleet.len(), 3);
+        for host in &fleet {
+            assert_eq!(host.capacity, 1);
+            assert_eq!(
+                host.binary, None,
+                "workers re-invoke the current executable"
+            );
+            assert_eq!(host.transport.describe(), "local");
+            assert!(host.transport.runs_on_dispatcher());
+        }
+        // Equal capacities give exactly the uniform split.
+        let capacities: Vec<usize> = fleet.iter().map(|h| h.capacity).collect();
+        assert_eq!(
+            ShardPlan::split_weighted(10, &capacities),
+            ShardPlan::split(10, 3)
+        );
+    }
+
+    #[test]
     fn shard_args_reject_malformed_and_conflicting_flags() {
         for bad in [
             vec!["--shards", "0"],
             vec!["--shards", "x"],
-            vec!["--shard", "4/4"],
-            vec!["--shard", "2"],
-            vec!["--shards", "2", "--shard", "0/2"],
             vec!["--shards", "2", "--emit-ndjson"],
             vec!["--hosts", "hosts.conf", "--shards", "2"],
             vec!["--hosts", "hosts.conf", "--shards", "1"],
-            vec!["--hosts", "hosts.conf", "--shard", "0/2"],
             vec!["--hosts", "hosts.conf", "--emit-ndjson"],
-            vec!["--shard-range", "0..4"],
-            vec!["--shard", "0/2", "--shard-range", "4..0"],
-            vec!["--shard", "0/2", "--shard-range", "wide"],
+            vec!["--shard-range", "0..4", "--shards", "2"],
+            vec!["--shard-range", "0..4", "--shards", "1"],
+            vec!["--shard-range", "0..4", "--hosts", "hosts.conf"],
+            vec!["--shard-range", "4..0"],
+            vec!["--shard-range", "wide"],
+            vec!["--shard-range"],
         ] {
             assert!(
                 ShardArgs::from_args(&strings(&bad)).is_err(),
@@ -847,25 +818,20 @@ mod tests {
     }
 
     #[test]
-    fn an_explicit_shard_range_overrides_the_uniform_split() {
-        let args = ShardArgs::from_args(&strings(&["--shard", "1/3", "--shard-range", "4..9"]))
-            .expect("parses");
-        assert_eq!(args.range, Some(4..9));
+    fn a_shard_range_alone_is_worker_mode_clamped_to_the_items() {
+        let args = ShardArgs::from_args(&strings(&["--shard-range", "4..8"])).expect("parses");
+        assert_eq!(args.range, Some(4..8));
         assert!(args.emit_ndjson);
-        // The explicit range wins over 1/3's uniform slice and clamps to
-        // the item count.
-        assert_eq!(args.worker_range(12), 4..9);
+        assert!(!args.is_parent());
+        assert_eq!(args.worker_range(12), 4..8);
         assert_eq!(args.worker_range(6), 4..6);
 
-        let uniform = ShardArgs::from_args(&strings(&["--shard", "1/3"])).expect("parses");
-        assert_eq!(uniform.worker_range(12), 4..8);
         let whole = ShardArgs::from_args(&strings(&["--emit-ndjson"])).expect("parses");
         assert_eq!(whole.worker_range(12), 0..12);
     }
 
     #[test]
     fn worker_args_strip_the_parent_flags_and_append_the_worker_triple() {
-        let spec = wp_dist::ShardSpec::parse("1/3").unwrap();
         let argv = strings(&[
             "--quick",
             "--shards",
@@ -875,13 +841,11 @@ mod tests {
             "--emit-ndjson",
         ]);
         assert_eq!(
-            ShardArgs::worker_args(&argv, spec, &(4..8)),
+            ShardArgs::worker_args(&argv, &(4..8)),
             strings(&[
                 "--quick",
                 "--verify",
                 "--workers=2",
-                "--shard",
-                "1/3",
                 "--shard-range",
                 "4..8",
                 "--emit-ndjson"
@@ -891,24 +855,24 @@ mod tests {
         // including --hosts (a dispatched worker must never re-dispatch).
         let argv = strings(&[
             "--shards=3",
-            "--shard=0/9",
             "--shard-range=0..2",
             "--hosts=fleet.conf",
             "--quick",
             "--hosts",
             "other.conf",
+            "--shard-range",
+            "9..12",
+            "--emit-ndjson",
         ]);
+        let worker = ShardArgs::worker_args(&argv, &(4..8));
         assert_eq!(
-            ShardArgs::worker_args(&argv, spec, &(4..8)),
-            strings(&[
-                "--quick",
-                "--shard",
-                "1/3",
-                "--shard-range",
-                "4..8",
-                "--emit-ndjson"
-            ])
+            worker,
+            strings(&["--quick", "--shard-range", "4..8", "--emit-ndjson"])
         );
+        // The result parses back as worker mode over exactly that range.
+        let parsed = ShardArgs::from_args(&worker).expect("parses");
+        assert_eq!(parsed.range, Some(4..8));
+        assert!(parsed.emit_ndjson && !parsed.is_parent());
     }
 
     #[test]

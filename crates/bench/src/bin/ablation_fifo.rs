@@ -9,9 +9,9 @@
 //! `--workers N` and `--batch N`.  Pass `--verify` to stream every run
 //! against its golden twin while it executes and print the proven
 //! equivalence prefix (N) per depth and policy.  The depth rows can be
-//! sharded across worker processes with `--shards N` — or across machines
-//! with `--hosts hosts.conf` (worker mode: `--shard i/N` /
-//! `--emit-ndjson`), merging to byte-identical output.
+//! sharded across N local worker processes with `--shards N` — or across
+//! machines with `--hosts hosts.conf` (worker mode: `--shard-range A..B`),
+//! merging to byte-identical output.
 
 use wp_bench::{
     json_opt_usize, soc_factory, soc_scenario_with_config, sort_workload, ScenarioWiring,

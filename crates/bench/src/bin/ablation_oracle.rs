@@ -10,9 +10,9 @@
 //! `--workers N` and `--batch N`.  Pass `--verify` to stream every run
 //! against its golden twin (`wp_bench::build_degraded_ring` with shells
 //! stripped) and print the proven equivalence prefix (N) per row.  The rows
-//! can be sharded across worker processes with `--shards N` — or across
-//! machines with `--hosts hosts.conf` (worker mode: `--shard i/N` /
-//! `--emit-ndjson`), merging to byte-identical output.
+//! can be sharded across N local worker processes with `--shards N` — or
+//! across machines with `--hosts hosts.conf` (worker mode: `--shard-range
+//! A..B`), merging to byte-identical output.
 
 use wp_bench::{
     build_degraded_ring, degraded_ring_scenario, json_f64, json_opt_usize, json_string,

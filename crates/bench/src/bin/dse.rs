@@ -16,7 +16,7 @@
 //! [--mode auto|exhaustive|walk] [--walks N] [--steps N] [--units N]
 //! [--limit N] [--firings N] [--quick] [--verify] [--json PATH] [--dot]
 //! [--workers N] [--batch N] [--lanes on|off|auto] [--oracle on|off|auto]
-//! [--shards N | --hosts hosts.conf | --shard i/N] [--emit-ndjson]`
+//! [--shards N | --hosts hosts.conf | --shard-range A..B] [--emit-ndjson]`
 //!
 //! The work-unit plan is deterministic and worker-count-independent, the
 //! per-cost merge is commutative, and all candidate ties break by a total
@@ -334,7 +334,7 @@ fn run_local(
     )
 }
 
-/// The worker path (`--shard i/N` / `--emit-ndjson`): run only this
+/// The worker path (`--shard-range A..B` / `--emit-ndjson`): run only this
 /// shard's contiguous unit range and emit one NDJSON record per unit.
 fn run_worker(
     args: &Args,
@@ -351,7 +351,7 @@ fn run_worker(
     Ok(())
 }
 
-/// The parent path (`--shards N` / `--hosts`): fork one worker per
+/// The parent path (`--shards N` / `--hosts`): dispatch one worker per
 /// contiguous unit range, re-score every returned survivor to cross-check
 /// bit identity, merge in submission order and publish exactly what the
 /// in-process path publishes.

@@ -6,9 +6,9 @@
 //! throughput of every single-link configuration — a 10-scenario
 //! `wp_sim::SweepRunner` sweep of the full processor.  The scheduler is
 //! controlled with `--workers N` and `--batch N`, and the measured sweep
-//! can be sharded across worker processes with `--shards N` — or across
-//! machines with `--hosts hosts.conf` (worker mode: `--shard i/N` /
-//! `--emit-ndjson`), merging to byte-identical output.
+//! can be sharded across N local worker processes with `--shards N` — or
+//! across machines with `--hosts hosts.conf` (worker mode: `--shard-range
+//! A..B`), merging to byte-identical output.
 
 use wp_bench::{
     predict_wp1_throughput, soc_oracle_scenario, soc_scenario, sort_workload, LaneMode,

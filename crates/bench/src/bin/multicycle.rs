@@ -3,16 +3,28 @@
 //! so WP2 recovers most of the throughput lost to relay stations on the links
 //! that are exercised rarely, where WP1 cannot.
 
-use wp_bench::{format_table, matmul_workload, run_table, sort_workload, table1_base_configs};
+use wp_bench::{
+    format_table, matmul_workload, run_table_oracle, sort_workload, table1_base_configs, LaneMode,
+    OracleMode,
+};
 use wp_proc::Organization;
+use wp_sim::SweepRunner;
 
 fn main() {
     for (name, workload) in [
         ("Extraction Sort", sort_workload()),
         ("Matrix Multiply", matmul_workload()),
     ] {
-        let rows = run_table(&workload, Organization::Multicycle, &table1_base_configs())
-            .expect("multicycle table runs");
+        let (rows, _) = run_table_oracle(
+            &SweepRunner::default(),
+            &workload,
+            Organization::Multicycle,
+            &table1_base_configs(),
+            false,
+            LaneMode::Auto,
+            OracleMode::Off,
+        )
+        .expect("multicycle table runs");
         println!(
             "{}",
             format_table(&format!("Multicycle case: {name}"), &rows)

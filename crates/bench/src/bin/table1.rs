@@ -5,16 +5,16 @@
 //! The 2 × configurations wire-pipelined runs of each table are swept across
 //! worker threads by `wp_sim::SweepRunner`'s work-stealing scheduler, and
 //! the table rows can additionally be sharded across worker *processes*
-//! (`wp_dist`): `--shards N` re-invokes this executable once per contiguous
-//! row range, merges the NDJSON results and prints byte-identical output to
-//! a single-process run, and `--hosts hosts.conf` dispatches the same
-//! workers across machines (ssh/container/shell transports,
-//! capacity-weighted ranges, failover — see the README's *Cross-machine
-//! sweeps*).
+//! (`wp_dist`): `--shards N` re-invokes this executable on N local hosts
+//! and `--hosts hosts.conf` dispatches the same workers across machines
+//! (ssh/container/shell transports, capacity-weighted ranges); both merge
+//! the NDJSON results, fail a failed shard over to another host and print
+//! byte-identical output to a single-process run (see the README's
+//! *Distributed sweeps*).
 //!
 //! Usage: `table1 [--program sort|matmul|both] [--quick] [--verify]
 //! [--workers N] [--batch N] [--lanes on|off|auto] [--oracle on|off|auto]
-//! [--json PATH] [--shards N | --hosts hosts.conf | --shard i/N]
+//! [--json PATH] [--shards N | --hosts hosts.conf | --shard-range A..B]
 //! [--emit-ndjson]`
 //!
 //! `--lanes on` (and the default `auto`) tags every scenario for the
@@ -261,8 +261,8 @@ fn run_local(args: &Args, specs: Vec<TableSpec>) -> Result<(), Box<dyn std::erro
     Ok(())
 }
 
-/// The worker path (`--shard i/N` / `--emit-ndjson`): run only this shard's
-/// contiguous global row range and emit one NDJSON record per row.
+/// The worker path (`--shard-range A..B` / `--emit-ndjson`): run only this
+/// shard's contiguous global row range and emit one NDJSON record per row.
 fn run_worker(args: &Args, specs: Vec<TableSpec>) -> Result<(), Box<dyn std::error::Error>> {
     let total: usize = specs.iter().map(|s| s.configs.len()).sum();
     let range = args.shard.worker_range(total);
@@ -291,8 +291,8 @@ fn run_worker(args: &Args, specs: Vec<TableSpec>) -> Result<(), Box<dyn std::err
     Ok(())
 }
 
-/// The parent path (`--shards N`): fork one worker per contiguous row
-/// range, merge their NDJSON records and publish exactly what the
+/// The parent path (`--shards N` / `--hosts`): dispatch one worker per
+/// contiguous row range, merge their NDJSON records and publish exactly what the
 /// in-process path publishes.
 fn run_parent(args: &Args, specs: Vec<TableSpec>) -> Result<(), Box<dyn std::error::Error>> {
     let total: usize = specs.iter().map(|s| s.configs.len()).sum();

@@ -75,7 +75,7 @@ pub struct TableRow {
     pub improvement_percent: f64,
     /// Proven equivalence prefix length (N) of the WP1 run against its
     /// golden twin; `None` when the sweep ran without the equivalence gate
-    /// ([`run_table_verified`]).
+    /// (the `verify` flag of [`run_table_oracle`]).
     pub proven_n_wp1: Option<usize>,
     /// Proven equivalence prefix length (N) of the WP2 run against its
     /// golden twin; `None` when the gate was off.
@@ -348,140 +348,48 @@ fn check_soc_outcome(
     Ok(outcome)
 }
 
-/// Runs golden + WP1 + WP2 for every configuration and collects table rows.
+/// Runs golden + WP1 + WP2 for every configuration and collects table rows,
+/// together with the sweep's scheduler counters so the binaries can report
+/// the oracle saving ([`SweepStats::oracle_extrapolated_cycles`] vs
+/// [`SweepStats::oracle_simulated_cycles`]).
 ///
 /// The golden run is sequential (it is the shared denominator); the
-/// 2 × `configs.len()` wire-pipelined runs are swept across worker threads.
+/// 2 × `configs.len()` wire-pipelined runs are swept across `runner`'s
+/// worker threads.
 ///
-/// # Errors
+/// * `verify` arms the per-scenario equivalence gate: every
+///   wire-pipelined run is streamed against a demand-stepped golden twin
+///   while it executes, a non-equivalent scenario fails the whole table
+///   with [`SocError::NotEquivalent`], and the proven N per policy lands in
+///   [`TableRow::proven_n_wp1`] / [`TableRow::proven_n_wp2`] (surfaced by
+///   [`format_table`] and the JSON report).
+/// * `lanes` (`--lanes`): when the mode tags lanes, every scenario carries
+///   a lane key so the sweep scheduler may pack qualifying ones into the
+///   bit-parallel kernel.  Table scenarios read the architectural state
+///   back after the run, which disqualifies them from the control-plane
+///   kernel, so the scheduler demotes each to the scalar kernel and the
+///   produced rows are identical in every mode (pinned byte-for-byte by
+///   CI).
+/// * `oracle` (`--oracle`): when the mode converts rows and the
+///   equivalence gate is off, every WP1 (strict) scenario is replaced by
+///   its extrapolating twin ([`soc_oracle_scenario`], with the goal
+///   re-expressed as `golden.cycles` CU firings); the produced cycle
+///   columns are bit-identical to a plain run while orders of magnitude
+///   fewer cycles are simulated (pinned byte-for-byte by CI).  `verify`
+///   wins over the oracle: the equivalence gate streams every run against
+///   a golden twin, which the oracle's eligibility rules exclude, so
+///   verified tables always simulate fully.  With [`OracleMode::Auto`] the
+///   first converted row is re-run by full simulation and any cycle-count
+///   mismatch fails the table with [`SocError::NotEquivalent`].
 ///
-/// Propagates any [`SocError`] from the underlying runs.
-pub fn run_table(
-    workload: &Workload,
-    org: Organization,
-    configs: &[(String, RsConfig)],
-) -> Result<Vec<TableRow>, SocError> {
-    run_table_on(&SweepRunner::default(), workload, org, configs)
-}
-
-/// [`run_table`] with an explicit [`SweepRunner`] (worker-count control).
-///
-/// # Errors
-///
-/// Propagates any [`SocError`] from the underlying runs.
-pub fn run_table_on(
-    runner: &SweepRunner,
-    workload: &Workload,
-    org: Organization,
-    configs: &[(String, RsConfig)],
-) -> Result<Vec<TableRow>, SocError> {
-    run_table_impl(
-        runner,
-        workload,
-        org,
-        configs,
-        false,
-        LaneMode::Auto,
-        OracleMode::Off,
-    )
-    .map(|(rows, _)| rows)
-}
-
-/// [`run_table_on`] with the per-scenario equivalence gate enabled: every
-/// wire-pipelined run is streamed against a demand-stepped golden twin
-/// while it executes, a non-equivalent scenario fails the whole table with
-/// [`SocError::NotEquivalent`], and the proven N per policy lands in
-/// [`TableRow::proven_n_wp1`] / [`TableRow::proven_n_wp2`] (surfaced by
-/// [`format_table`] and the JSON report).
+/// The plain table is `run_table_oracle(&SweepRunner::default(), …, false,
+/// LaneMode::Auto, OracleMode::Off)`.
 ///
 /// # Errors
 ///
 /// Propagates any [`SocError`] from the underlying runs, including gate
-/// failures.
-pub fn run_table_verified(
-    runner: &SweepRunner,
-    workload: &Workload,
-    org: Organization,
-    configs: &[(String, RsConfig)],
-) -> Result<Vec<TableRow>, SocError> {
-    run_table_impl(
-        runner,
-        workload,
-        org,
-        configs,
-        true,
-        LaneMode::Auto,
-        OracleMode::Off,
-    )
-    .map(|(rows, _)| rows)
-}
-
-/// [`run_table_on`] / [`run_table_verified`] with an explicit lane-packing
-/// mode (`--lanes`): when the mode tags lanes, every scenario carries a
-/// lane key so the sweep scheduler may pack qualifying ones into the
-/// bit-parallel kernel.  Table scenarios read the architectural state back
-/// after the run, which disqualifies them from the control-plane kernel,
-/// so the scheduler demotes each to the scalar kernel and the produced
-/// rows are identical in every mode (pinned byte-for-byte by CI).
-///
-/// # Errors
-///
-/// Propagates any [`SocError`] from the underlying runs.
-pub fn run_table_lanes(
-    runner: &SweepRunner,
-    workload: &Workload,
-    org: Organization,
-    configs: &[(String, RsConfig)],
-    verify: bool,
-    lanes: LaneMode,
-) -> Result<Vec<TableRow>, SocError> {
-    run_table_impl(
-        runner,
-        workload,
-        org,
-        configs,
-        verify,
-        lanes,
-        OracleMode::Off,
-    )
-    .map(|(rows, _)| rows)
-}
-
-/// [`run_table_lanes`] with an explicit period-oracle mode (`--oracle`),
-/// additionally returning the sweep's scheduler counters so the binaries
-/// can report the oracle saving
-/// ([`SweepStats::oracle_extrapolated_cycles`] vs
-/// [`SweepStats::oracle_simulated_cycles`]).
-///
-/// When the mode converts rows and the equivalence gate is off, every WP1
-/// (strict) scenario is replaced by its extrapolating twin
-/// ([`soc_oracle_scenario`], with the goal re-expressed as `golden.cycles`
-/// CU firings); the produced cycle columns are bit-identical to a plain
-/// run while orders of magnitude fewer cycles are simulated (pinned
-/// byte-for-byte by CI).  `--verify` wins over the oracle: the equivalence
-/// gate streams every run against a golden twin, which the oracle's
-/// eligibility rules exclude, so verified tables always simulate fully.
-/// With [`OracleMode::Auto`] the first converted row is re-run by full
-/// simulation and any cycle-count mismatch fails the table with
-/// [`SocError::NotEquivalent`].
-///
-/// # Errors
-///
-/// Propagates any [`SocError`] from the underlying runs, including a
-/// failed `auto` spot-check.
+/// failures and a failed `auto` spot-check.
 pub fn run_table_oracle(
-    runner: &SweepRunner,
-    workload: &Workload,
-    org: Organization,
-    configs: &[(String, RsConfig)],
-    verify: bool,
-    lanes: LaneMode,
-    oracle: OracleMode,
-) -> Result<(Vec<TableRow>, SweepStats), SocError> {
-    run_table_impl(runner, workload, org, configs, verify, lanes, oracle)
-}
-
-fn run_table_impl(
     runner: &SweepRunner,
     workload: &Workload,
     org: Organization,
@@ -562,7 +470,7 @@ fn run_table_impl(
 /// Formats table rows like the paper's Table 1 (plus the analytic column).
 ///
 /// When any row carries proven-N values (the table was produced by
-/// [`run_table_verified`]) two extra columns surface the equivalence prefix
+/// [`run_table_oracle`] with `verify` on) two extra columns surface the equivalence prefix
 /// proven per policy; rows without a value show `-`.
 pub fn format_table(title: &str, rows: &[TableRow]) -> String {
     use std::fmt::Write as _;
@@ -1079,7 +987,16 @@ mod tests {
             ("ideal".to_string(), RsConfig::ideal()),
             ("Only RF-DC".to_string(), RsConfig::single(Link::RfDc, 1)),
         ];
-        let rows = run_table(&wl, Organization::Pipelined, &configs).unwrap();
+        let (rows, _) = run_table_oracle(
+            &SweepRunner::default(),
+            &wl,
+            Organization::Pipelined,
+            &configs,
+            false,
+            LaneMode::Auto,
+            OracleMode::Off,
+        )
+        .unwrap();
         assert_eq!(rows.len(), 2);
         assert!((rows[0].th_wp1 - 1.0).abs() < 1e-9);
         assert!(rows[1].th_wp2 >= rows[1].th_wp1);
@@ -1103,7 +1020,16 @@ mod tests {
             ),
         ];
         let runner = SweepRunner::default();
-        let plain = run_table(&wl, Organization::Pipelined, &configs).unwrap();
+        let (plain, _) = run_table_oracle(
+            &runner,
+            &wl,
+            Organization::Pipelined,
+            &configs,
+            false,
+            LaneMode::Auto,
+            OracleMode::Off,
+        )
+        .unwrap();
         let (rows, stats) = run_table_oracle(
             &runner,
             &wl,

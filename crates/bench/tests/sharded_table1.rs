@@ -73,14 +73,15 @@ fn two_shards_reproduce_the_single_process_run_byte_for_byte() {
 #[test]
 fn worker_mode_emits_one_parseable_record_per_assigned_row() {
     let output = Command::new(env!("CARGO_BIN_EXE_table1"))
-        .args(["--quick", "--program", "sort", "--shard", "1/3"])
+        .args(["--quick", "--program", "sort", "--shard-range", "4..8"])
         .output()
         .expect("table1 runs");
     assert!(output.status.success());
     let stdout = String::from_utf8(output.stdout).expect("utf-8 NDJSON");
-    // 12 quick sort rows over 3 shards: shard 1 owns rows 4..8.
+    // Rows 4..8 of the 12 quick sort rows: the second of three equal
+    // shards.
     let records = wp_dist::parse_ndjson(1, &stdout).expect("worker output parses");
-    assert_eq!(records.len(), 4, "shard 1/3 of 12 rows owns 4:\n{stdout}");
+    assert_eq!(records.len(), 4, "rows 4..8 are 4 rows:\n{stdout}");
     assert_eq!(
         records.iter().map(|r| r.index).collect::<Vec<_>>(),
         vec![4, 5, 6, 7]

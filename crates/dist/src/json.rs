@@ -6,9 +6,16 @@
 //! RFC 8259 grammar (objects, arrays, strings with every escape including
 //! `\uXXXX` surrogate pairs, numbers, booleans, `null`) so a round-trip
 //! through any compliant writer is lossless for the value shapes the bench
-//! reports use.
+//! reports use.  Containers may nest at most `MAX_DEPTH` levels deep, so
+//! a corrupt or hostile worker stream is rejected with a [`JsonError`]
+//! instead of overflowing the recursive parser's stack.
 
 use std::fmt;
+
+/// The deepest container nesting [`Json::parse`] accepts.  Worker records
+/// and bench reports nest only a few levels; the limit keeps the recursive
+/// descent far inside the smallest thread stack.
+const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 ///
@@ -55,11 +62,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns [`JsonError`] with the byte offset of the first violation.
+    /// Returns [`JsonError`] with the byte offset of the first violation,
+    /// including a container nested more than 128 levels deep.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -203,6 +212,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -243,8 +254,19 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -532,6 +554,20 @@ mod tests {
         let arr = v.get("b").and_then(Json::as_arr).unwrap();
         assert_eq!(arr[0].as_u64(), Some(1));
         assert!(arr[2].get("c").unwrap().is_null());
+    }
+
+    /// A corrupt stream nesting far past the limit is an ordinary error
+    /// with a byte position, not a stack overflow.
+    #[test]
+    fn nesting_past_the_depth_limit_is_an_error_not_a_crash() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH, "the first container past the limit");
+        assert!(err.message.contains("nesting"), "{err}");
+        let record = format!(r#"{{"index": 0, "x": {}}}"#, nested(100_000));
+        let err = Json::parse(&record).unwrap_err();
+        assert_eq!(err.offset, "{\"index\": 0, \"x\": ".len() + MAX_DEPTH - 1);
     }
 
     #[test]

@@ -15,36 +15,33 @@
 //!   (the workspace builds without registry access, so no serde); workers
 //!   emit newline-delimited JSON (NDJSON) records and the parent parses
 //!   them back;
-//! * [`run_sharded`] — the parent side of the worker protocol: spawn one
-//!   `std::process::Command` child per non-empty shard, collect each
-//!   child's NDJSON stdout, verify that every shard reported exactly the
-//!   indices it was assigned, and merge the payloads in submission order.
-//!   A failed shard (spawn error, crash, non-zero exit, malformed or
-//!   missing records) is retried **once**; a second failure fails the whole
-//!   run loudly with a [`DistError`] naming the shard;
-//! * [`Transport`] — the pluggable launcher layer that scales the same
-//!   protocol beyond one machine.  A transport turns a worker argv into the
-//!   OS command that runs it: [`LocalProcess`] (a plain child, today's
-//!   `--shards` behaviour), [`Ssh`] (the argv shell-quoted behind
+//! * [`Transport`] — the pluggable launcher layer.  A transport turns a
+//!   worker argv into the OS command that runs it: [`LocalProcess`] (a
+//!   plain child on this machine), [`Ssh`] (the argv shell-quoted behind
 //!   `ssh host --`), [`Container`] (`docker|podman run` with the repo
 //!   image) and [`ShellTransport`] (`sh -c` with an arbitrary prefix — the
 //!   hermetic fake host the tests and the CI dispatch smoke use);
 //! * [`Host`] / [`parse_hostfile`] / [`load_hostfile`] — the `--hosts
 //!   hosts.conf` fleet declaration (name, transport, capacity, binary path
 //!   per host; hand-rolled parser, every violation names its line);
-//! * [`run_dispatched`] — [`run_sharded`] across a host fleet: one shard
-//!   per host, sized by [`ShardPlan::split_weighted`] over the declared
-//!   capacities, with **failover on retry** — a shard that fails on one
-//!   host is re-dispatched to the other hosts in turn, and only when every
-//!   host is exhausted does the run die
-//!   ([`DistError::HostsExhausted`]).
+//! * [`run_dispatched`] — the parent side of the worker protocol, and the
+//!   only code that launches workers: one shard per host, sized by
+//!   [`ShardPlan::split_weighted`] over the declared capacities.  It
+//!   collects each worker's NDJSON stdout, verifies that every shard
+//!   reported exactly the indices it was assigned, and merges the payloads
+//!   in submission order.  A failed shard (spawn error, crash, non-zero
+//!   exit, malformed or missing records) **fails over** to the other hosts
+//!   in turn, and only when every host is exhausted does the run die
+//!   ([`DistError::HostsExhausted`]).  `--shards N` is simply a fleet of
+//!   `N` capacity-1 [`LocalProcess`] hosts.
 //!
 //! The result merge is *bit-identical* to a single-process run by
 //! construction: shard boundaries (and host assignment) only decide which
 //! process executes a scenario, never what the scenario computes, and the
 //! payloads are reassembled purely by submission index.  `wp_bench`'s
 //! experiment binaries build on this crate for their `--shards N` /
-//! `--shard i/N` / `--emit-ndjson` / `--hosts hosts.conf` flags.
+//! `--hosts hosts.conf` parent flags and their `--shard-range A..B`
+//! worker flag.
 //!
 //! ```
 //! use wp_dist::ShardPlan;
@@ -69,5 +66,5 @@ mod transport;
 pub use hostfile::{load_hostfile, parse_hostfile, Host};
 pub use json::{Json, JsonError};
 pub use plan::ShardPlan;
-pub use proto::{parse_ndjson, run_dispatched, run_sharded, DistError, ShardRecord, ShardSpec};
+pub use proto::{parse_ndjson, run_dispatched, DistError, ShardRecord};
 pub use transport::{shell_quote, Container, LocalProcess, ShellTransport, Ssh, Transport};

@@ -1,71 +1,29 @@
 //! The parent side of the worker protocol: spawn, collect NDJSON, merge.
 //!
-//! A *worker* is a child process (normally a re-invocation of the current
-//! executable with `--shard i/N --emit-ndjson`) that runs one contiguous
+//! A *worker* is a child process (normally a re-invocation of an experiment
+//! binary with `--shard-range A..B --emit-ndjson`) that runs one contiguous
 //! submission-order range of a sweep and prints one JSON object per
 //! completed item to stdout — newline-delimited JSON (NDJSON).  Every
 //! record carries the item's global submission index in an `"index"`
 //! member; everything else is payload the caller interprets.
 //!
-//! The parent ([`run_sharded`]) spawns all populated shards concurrently,
-//! validates each child's output (exit status, well-formed records, and
-//! *exactly* the planned index set — no holes, no duplicates, no
-//! trespassing into another shard's range) and merges the payloads in
-//! submission order.  A shard that fails validation is retried once,
-//! sequentially; a second failure aborts the whole run with a [`DistError`]
-//! naming the shard, so a lost worker can never silently drop rows.
+//! The parent ([`run_dispatched`]) launches every populated shard
+//! concurrently on its host, validates each child's output (exit status,
+//! well-formed records, and *exactly* the planned index set — no holes, no
+//! duplicates, no trespassing into another shard's range) and merges the
+//! payloads in submission order.  A shard that fails validation is
+//! re-dispatched to the other hosts in turn; only when every host has
+//! failed it does the run abort with a [`DistError`] naming the shard, so
+//! a lost worker can never silently drop rows.
 
 use std::fmt;
 use std::io;
 use std::ops::Range;
-use std::process::{Command, Stdio};
+use std::process::{Child, Stdio};
 
 use crate::hostfile::Host;
-use crate::json::{Json, JsonError};
+use crate::json::Json;
 use crate::plan::ShardPlan;
-
-/// This worker's identity within a sharded run, as spelled on the command
-/// line: `--shard i/N` with `0 <= i < N`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardSpec {
-    /// The zero-based shard index.
-    pub index: usize,
-    /// The total shard count.
-    pub total: usize,
-}
-
-impl ShardSpec {
-    /// Parses the `i/N` spelling (`0/4`, `3/4`, …).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DistError::BadSpec`] unless `value` is `i/N` with
-    /// `i < N` and `N > 0`.
-    pub fn parse(value: &str) -> Result<Self, DistError> {
-        let bad = || DistError::BadSpec {
-            value: value.to_string(),
-        };
-        let (index, total) = value.split_once('/').ok_or_else(bad)?;
-        let index: usize = index.parse().map_err(|_| bad())?;
-        let total: usize = total.parse().map_err(|_| bad())?;
-        if total == 0 || index >= total {
-            return Err(bad());
-        }
-        Ok(Self { index, total })
-    }
-
-    /// The submission-order range this worker owns within a plan over
-    /// `n_items` (the same split the parent computes).
-    pub fn range(&self, n_items: usize) -> Range<usize> {
-        ShardPlan::split(n_items, self.total).range(self.index)
-    }
-}
-
-impl fmt::Display for ShardSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{}", self.index, self.total)
-    }
-}
 
 /// One parsed NDJSON worker record: a submission index plus the record's
 /// full JSON object (the `"index"` member included).
@@ -77,15 +35,11 @@ pub struct ShardRecord {
     pub payload: Json,
 }
 
-/// Why a sharded run failed.  Every variant names the offending shard, so
-/// the operator can re-run it in isolation with `--shard i/N`.
+/// Why a dispatched run failed.  Every worker-side variant names the
+/// offending shard, so the operator can re-run its rows in isolation with
+/// `--shard-range A..B`.
 #[derive(Debug)]
 pub enum DistError {
-    /// A malformed `--shard` value.
-    BadSpec {
-        /// The raw value given.
-        value: String,
-    },
     /// A worker could not be spawned.
     Spawn {
         /// The failing shard.
@@ -150,9 +104,6 @@ pub enum DistError {
 impl fmt::Display for DistError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DistError::BadSpec { value } => {
-                write!(f, "--shard expects i/N with i < N, got '{value}'")
-            }
             DistError::Spawn { shard, source } => {
                 write!(f, "shard {shard}: failed to spawn worker: {source}")
             }
@@ -224,7 +175,7 @@ pub fn parse_ndjson(shard: usize, stdout: &str) -> Result<Vec<ShardRecord>, Dist
         if line.trim().is_empty() {
             continue;
         }
-        let payload = Json::parse(line).map_err(|e: JsonError| malformed(number, e.to_string()))?;
+        let payload = Json::parse(line).map_err(|e| malformed(number, e.to_string()))?;
         let index = payload
             .get("index")
             .and_then(Json::as_usize)
@@ -240,24 +191,16 @@ pub fn parse_ndjson(shard: usize, stdout: &str) -> Result<Vec<ShardRecord>, Dist
 }
 
 /// Drains one spawned worker to completion (stdout to EOF, then the exit
-/// status).
-fn collect_output(
-    shard: usize,
-    child: Result<std::process::Child, io::Error>,
-) -> Result<std::process::Output, DistError> {
-    let child = child.map_err(|source| DistError::Spawn { shard, source })?;
-    child
-        .wait_with_output()
-        .map_err(|source| DistError::Spawn { shard, source })
-}
-
-/// Validates one drained worker: exit status, well-formed NDJSON, and
-/// exactly the planned index set.
-fn validate_shard(
+/// status) and validates it: exit status, well-formed NDJSON, and exactly
+/// the planned index set.
+fn drain(
     shard: usize,
     expected: &Range<usize>,
-    output: std::process::Output,
+    child: io::Result<Child>,
 ) -> Result<Vec<ShardRecord>, DistError> {
+    let output = child
+        .and_then(Child::wait_with_output)
+        .map_err(|source| DistError::Spawn { shard, source })?;
     if !output.status.success() {
         return Err(DistError::WorkerFailed {
             shard,
@@ -290,78 +233,31 @@ fn validate_shard(
     Ok(records)
 }
 
-/// Spawns one worker process per populated shard of `plan`, collects each
-/// worker's NDJSON stdout and merges the record payloads back into
-/// submission order.
+/// Spawns one worker per populated shard of `plan` across `hosts` —
+/// shard `s` on host `s` — collects each worker's NDJSON stdout and merges
+/// the record payloads back into submission order.
 ///
-/// `make_command` builds the [`Command`] for a given shard index (typically
-/// the current executable with `--shard i/N --emit-ndjson` appended); the
-/// protocol pipes its stdout and leaves stderr inherited, so worker
-/// progress messages still reach the terminal.  All first attempts run
-/// concurrently; every failed shard is then retried **once**, sequentially,
-/// and a second failure aborts the run with the shard's error.  The retry
-/// re-runs the identical command on the same launcher — when several
-/// machines are available, use [`run_dispatched`], whose retry fails over
-/// to a *different* host.
+/// `plan` must have exactly one shard per host (build it with
+/// [`ShardPlan::split_weighted`] over the host capacities so each
+/// machine's share matches its declared weight; a local fleet of `N`
+/// capacity-1 [`crate::LocalProcess`] hosts gives the uniform split).
+/// `make_args` builds the worker's *argument list* for a shard — the
+/// program path is the host's own (`Host::worker_command`, falling back to
+/// `default_binary`), because a remote machine or container image keeps
+/// the binary at its own path.  The argument list depends only on the
+/// shard, never on the host, so a failed-over shard re-runs identical work.
+///
+/// All first attempts run concurrently; stdout is piped and stderr
+/// inherited, so worker progress messages still reach the terminal.  A
+/// shard that fails (spawn error, crash, non-zero exit, malformed or
+/// missing records) is then re-dispatched, sequentially, to each *other*
+/// host in turn (wrapping round-robin from the failed one), so one sick
+/// machine cannot kill a sweep that another could finish.  With a single
+/// host there is no alternative: the shard is retried once in place.
 ///
 /// On success the returned vector has exactly `plan.items()` entries — the
 /// full record object of each submission index, in submission order — so
 /// the merge is bit-identical to a single-process run of the same items.
-///
-/// # Errors
-///
-/// Returns the [`DistError`] of the first shard whose retry also failed.
-pub fn run_sharded(
-    plan: &ShardPlan,
-    mut make_command: impl FnMut(usize) -> Command,
-) -> Result<Vec<Json>, DistError> {
-    let mut slots: Vec<Option<Json>> = (0..plan.items()).map(|_| None).collect();
-    let spawn = |shard: usize, make_command: &mut dyn FnMut(usize) -> Command| {
-        let mut command = make_command(shard);
-        command.stdout(Stdio::piped());
-        command.spawn()
-    };
-
-    let failed = first_wave(plan, |shard| spawn(shard, &mut make_command), &mut slots);
-
-    // Retry wave: one bounded retry per failed shard, sequentially (a lone
-    // child's pipe is drained to EOF by `wait_with_output`, so no second
-    // thread is needed here).
-    for (shard, first_error) in failed {
-        eprintln!("wp_dist: {first_error}; retrying shard {shard} once");
-        let expected = plan.range(shard);
-        let child = spawn(shard, &mut make_command);
-        let output = collect_output(shard, child)?;
-        let records = validate_shard(shard, &expected, output)?;
-        install(&mut slots, records);
-    }
-
-    Ok(merged(slots))
-}
-
-/// Spawns one worker per populated shard of `plan` across `hosts` —
-/// shard `s` on host `s` — with **failover on retry**: a shard that fails
-/// on its assigned host is re-dispatched to each *other* host in turn
-/// (wrapping round-robin from the failed one) before the run is declared
-/// dead, so one sick machine cannot kill a sweep that another could
-/// finish.  Only when every host has been tried does the shard's
-/// [`DistError::HostsExhausted`] abort the run.  With a single host there
-/// is no alternative: the shard is retried once on the same host,
-/// matching [`run_sharded`]'s bounded retry.
-///
-/// `plan` must have exactly one shard per host (build it with
-/// [`ShardPlan::split_weighted`] over the host capacities so each
-/// machine's share matches its declared weight).  `make_args` builds the
-/// worker's *argument list* for a shard — the program path is the host's
-/// own (`Host::worker_command`, falling back to `default_binary`), because
-/// a remote machine or container image keeps the binary at its own path.
-/// The argument list depends only on the shard, never on the host, so a
-/// failed-over shard re-runs identical work and the merge stays
-/// bit-identical to a single-process run.
-///
-/// Validation and merge semantics are exactly [`run_sharded`]'s: stdout is
-/// piped (stderr inherited), each worker must report exactly its planned
-/// index set, and the payloads land in submission order.
 ///
 /// # Errors
 ///
@@ -390,135 +286,72 @@ pub fn run_dispatched(
         command.stdout(Stdio::piped());
         command.spawn()
     };
-    let attempt = |shard: usize, host: &Host| -> Result<Vec<ShardRecord>, DistError> {
-        let output = collect_output(shard, spawn_on(shard, host))?;
-        validate_shard(shard, &plan.range(shard), output)
-    };
 
-    let failed = first_wave(plan, |shard| spawn_on(shard, &hosts[shard]), &mut slots);
-
-    // Failover wave, sequentially: each failed shard is re-dispatched to
-    // the other hosts in wrapping order (never back to the one that just
-    // failed unless it is the only host).
-    for (shard, first_error) in failed {
-        let mut last_error = first_error;
-        let candidates: Vec<usize> = if hosts.len() == 1 {
-            vec![shard]
-        } else {
-            (1..hosts.len())
-                .map(|k| (shard + k) % hosts.len())
-                .collect()
-        };
-        let mut recovered = false;
-        for candidate in &candidates {
-            let host = &hosts[*candidate];
-            eprintln!(
-                "wp_dist: {last_error}; re-dispatching shard {shard} to host '{}' ({})",
-                host.name,
-                host.transport.describe()
-            );
-            match attempt(shard, host) {
-                Ok(records) => {
-                    install(&mut slots, records);
-                    recovered = true;
-                    break;
-                }
-                Err(error) => last_error = error,
-            }
-        }
-        if !recovered {
-            return Err(DistError::HostsExhausted {
-                shard,
-                hosts: hosts.len(),
-                last: Box::new(last_error),
-            });
-        }
-    }
-
-    Ok(merged(slots))
-}
-
-/// The concurrent first wave shared by [`run_sharded`] and
-/// [`run_dispatched`]: spawns every populated shard via `spawn` (which
-/// must pipe stdout), drains each child's stdout on its own thread —
-/// draining them one after the other would let a not-yet-waited worker
-/// fill its OS pipe buffer and block mid-sweep, serialising the wave —
-/// validates the outputs, lands the good records in `slots` and returns
-/// the failed shards with their errors, in shard order, for the caller's
-/// retry policy.
-fn first_wave(
-    plan: &ShardPlan,
-    mut spawn: impl FnMut(usize) -> Result<std::process::Child, io::Error>,
-    slots: &mut [Option<Json>],
-) -> Vec<(usize, DistError)> {
-    let children: Vec<(usize, Result<std::process::Child, io::Error>)> = plan
+    // First wave: every populated shard on its own host, each child's
+    // stdout drained on its own thread — draining them one after the other
+    // would let a not-yet-waited worker fill its OS pipe buffer and block
+    // mid-sweep, serialising the wave.
+    let children: Vec<(usize, io::Result<Child>)> = plan
         .populated_shards()
-        .map(|shard| (shard, spawn(shard)))
+        .map(|shard| (shard, spawn_on(shard, &hosts[shard])))
         .collect();
-    let outputs: Vec<(usize, Result<std::process::Output, DistError>)> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = children
-                .into_iter()
-                .map(|(shard, child)| (shard, scope.spawn(move || collect_output(shard, child))))
-                .collect();
-            handles
-                .into_iter()
-                .map(|(shard, handle)| (shard, handle.join().expect("drain thread never panics")))
-                .collect()
-        });
-    let mut failed: Vec<(usize, DistError)> = Vec::new();
-    for (shard, output) in outputs {
-        let expected = plan.range(shard);
-        match output.and_then(|output| validate_shard(shard, &expected, output)) {
-            Ok(records) => install(slots, records),
-            Err(error) => failed.push((shard, error)),
+    let results: Vec<(usize, Result<Vec<ShardRecord>, DistError>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = children
+            .into_iter()
+            .map(|(shard, child)| {
+                (
+                    shard,
+                    scope.spawn(move || drain(shard, &plan.range(shard), child)),
+                )
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|(shard, handle)| (shard, handle.join().expect("drain thread never panics")))
+            .collect()
+    });
+
+    // Failover wave, sequentially (a lone child's pipe is drained to EOF
+    // by `wait_with_output`): each failed shard is re-dispatched to the
+    // other hosts in wrapping order from the one that failed it; a single
+    // host is its own one-retry fallback.
+    for (shard, mut outcome) in results {
+        let mut fallbacks = (1..hosts.len().max(2)).map(|k| (shard + k) % hosts.len());
+        let records = loop {
+            match outcome {
+                Ok(records) => break records,
+                Err(last) => {
+                    let Some(candidate) = fallbacks.next() else {
+                        return Err(DistError::HostsExhausted {
+                            shard,
+                            hosts: hosts.len(),
+                            last: Box::new(last),
+                        });
+                    };
+                    let host = &hosts[candidate];
+                    eprintln!(
+                        "wp_dist: {last}; re-dispatching shard {shard} to host '{}' ({})",
+                        host.name,
+                        host.transport.describe()
+                    );
+                    outcome = drain(shard, &plan.range(shard), spawn_on(shard, host));
+                }
+            }
+        };
+        for record in records {
+            slots[record.index] = Some(record.payload);
         }
     }
-    failed
-}
 
-/// Lands validated records in their submission-order slots.
-fn install(slots: &mut [Option<Json>], records: Vec<ShardRecord>) {
-    for record in records {
-        slots[record.index] = Some(record.payload);
-    }
-}
-
-/// Unwraps the fully-populated submission-order slots into the merged
-/// result.
-fn merged(slots: Vec<Option<Json>>) -> Vec<Json> {
-    slots
+    Ok(slots
         .into_iter()
         .map(|slot| slot.expect("every index was validated against its shard range"))
-        .collect()
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shard_spec_parses_the_i_slash_n_spelling() {
-        assert_eq!(
-            ShardSpec::parse("0/4").unwrap(),
-            ShardSpec { index: 0, total: 4 }
-        );
-        assert_eq!(
-            ShardSpec::parse("3/4").unwrap(),
-            ShardSpec { index: 3, total: 4 }
-        );
-        assert_eq!(ShardSpec::parse("3/4").unwrap().to_string(), "3/4");
-        for bad in ["", "4", "4/4", "5/4", "0/0", "-1/4", "a/b", "1/2/3"] {
-            let err = ShardSpec::parse(bad).unwrap_err();
-            assert!(err.to_string().contains(bad), "{err}");
-        }
-    }
-
-    #[test]
-    fn shard_spec_range_matches_the_plan() {
-        let spec = ShardSpec::parse("1/3").unwrap();
-        assert_eq!(spec.range(10), ShardPlan::split(10, 3).range(1));
-    }
 
     #[test]
     fn ndjson_parsing_skips_blank_lines_and_requires_an_index() {

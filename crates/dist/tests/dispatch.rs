@@ -3,7 +3,7 @@
 //! different host, and host exhaustion — hermetically, with nothing but
 //! `sh`.
 
-use wp_dist::{parse_hostfile, run_dispatched, DistError, Host, ShardPlan};
+use wp_dist::{parse_hostfile, run_dispatched, DistError, Host, ShardPlan, ShellTransport};
 
 /// A fleet declared through the real hostfile parser, so these tests cover
 /// the same path the bench binaries take.
@@ -143,6 +143,46 @@ fn a_host_corrupting_the_stream_is_failed_over() {
     let merged = run_dispatched(&plan, &hosts, "sh", |s| echo_args(&plan, s))
         .expect("shard 0 recovers on the clean host");
     assert_merged(&merged, 2);
+}
+
+/// A host whose stream opens with a record nested 100,000 levels deep is
+/// rejected as malformed and failed over — the recursive JSON parser must
+/// refuse it at its depth limit instead of overflowing the dispatcher's
+/// stack — and a fleet of such hosts exhausts loudly.
+#[test]
+fn a_host_emitting_a_pathologically_deep_record_is_failed_over() {
+    let deep = |name: &str| Host {
+        name: name.to_string(),
+        capacity: 1,
+        binary: None,
+        transport: Box::new(ShellTransport {
+            prefix: "printf '{\"index\": 0, \"x\": '; \
+                     head -c 100000 /dev/zero | tr '\\0' '['; \
+                     head -c 100000 /dev/zero | tr '\\0' ']'; echo '}';"
+                .to_string(),
+        }),
+    };
+    let plan = ShardPlan::split_weighted(2, &[1, 1]);
+
+    let mut hosts = vec![deep("deep")];
+    hosts.extend(shell_fleet(&[("clean", 1, "")]));
+    let merged = run_dispatched(&plan, &hosts, "sh", |s| echo_args(&plan, s))
+        .expect("shard 0 recovers on the clean host");
+    assert_merged(&merged, 2);
+
+    let hosts = vec![deep("deep0"), deep("deep1")];
+    let err = run_dispatched(&plan, &hosts, "sh", |s| echo_args(&plan, s))
+        .expect_err("no host emits a parseable stream");
+    match &err {
+        DistError::HostsExhausted { last, .. } => match &**last {
+            DistError::Malformed { line, message, .. } => {
+                assert_eq!(*line, 1);
+                assert!(message.contains("nesting"), "{message}");
+            }
+            other => panic!("expected Malformed, got {other}"),
+        },
+        other => panic!("expected HostsExhausted, got {other}"),
+    }
 }
 
 /// Hosts beyond the item count get empty shards and spawn nothing — the

@@ -1,28 +1,62 @@
 //! Process-level tests of the worker protocol: real children spawned via
-//! `sh`, covering the happy path, the bounded retry, and every loud-failure
-//! mode (killed child, missing rows, malformed records).
+//! `sh` on a fleet of [`LocalProcess`] hosts — the fleet `--shards N`
+//! builds — covering the happy path, failover of a flaky shard, and every
+//! loud-failure mode (killed child, missing rows, malformed records).
 
-use std::process::Command;
+use std::cell::RefCell;
 
-use wp_dist::{run_sharded, DistError, Json, ShardPlan, ShardSpec};
+use wp_dist::{run_dispatched, DistError, Host, Json, LocalProcess, ShardPlan};
+
+/// `n` capacity-1 local hosts whose worker binary defaults to the
+/// dispatcher's `default_binary` (`sh` in these tests).
+fn local_fleet(n: usize) -> Vec<Host> {
+    (0..n)
+        .map(|i| Host {
+            name: format!("local{i}"),
+            capacity: 1,
+            binary: None,
+            transport: Box::new(LocalProcess),
+        })
+        .collect()
+}
+
+/// The uniform plan a fleet of `n` capacity-1 hosts gets.
+fn uniform(items: usize, n: usize) -> ShardPlan {
+    ShardPlan::split_weighted(items, &vec![1; n])
+}
+
+/// `sh` arguments running `script`.
+fn sh(script: impl Into<String>) -> Vec<String> {
+    vec!["-c".to_string(), script.into()]
+}
 
 /// A worker that prints the NDJSON records for its plan range, exactly as a
 /// sharded experiment binary would.
-fn echo_worker(shard: usize, plan: &ShardPlan) -> Command {
-    let lines: String = plan
+fn echo_worker(shard: usize, plan: &ShardPlan) -> Vec<String> {
+    sh(plan
         .range(shard)
         .map(|i| format!("printf '{{\"index\": {i}, \"value\": {}}}\\n'\n", i * 10))
-        .collect();
-    let mut cmd = Command::new("sh");
-    cmd.arg("-c").arg(lines);
-    cmd
+        .collect::<String>())
+}
+
+/// Unwraps the exhausted-fleet error every deterministic worker failure
+/// ends in, checking the shard it names.
+fn last_error(err: DistError, failing_shard: usize) -> DistError {
+    match err {
+        DistError::HostsExhausted { shard, last, .. } => {
+            assert_eq!(shard, failing_shard);
+            *last
+        }
+        other => panic!("expected HostsExhausted, got {other}"),
+    }
 }
 
 #[test]
 fn merges_shard_outputs_in_submission_order() {
     for shards in [1usize, 2, 3, 7] {
-        let plan = ShardPlan::split(7, shards);
-        let merged = run_sharded(&plan, |s| echo_worker(s, &plan)).expect("all shards succeed");
+        let plan = uniform(7, shards);
+        let merged = run_dispatched(&plan, &local_fleet(shards), "sh", |s| echo_worker(s, &plan))
+            .expect("all shards succeed");
         assert_eq!(merged.len(), 7, "shards = {shards}");
         for (i, record) in merged.iter().enumerate() {
             assert_eq!(record.get("index").unwrap().as_usize(), Some(i));
@@ -37,43 +71,48 @@ fn merges_shard_outputs_in_submission_order() {
 
 #[test]
 fn more_shards_than_items_spawns_only_populated_shards() {
-    let plan = ShardPlan::split(2, 6);
-    let mut spawned = Vec::new();
-    let merged = run_sharded(&plan, |s| {
-        spawned.push(s);
+    let plan = uniform(2, 6);
+    let spawned = RefCell::new(Vec::new());
+    let merged = run_dispatched(&plan, &local_fleet(6), "sh", |s| {
+        spawned.borrow_mut().push(s);
         echo_worker(s, &plan)
     })
     .expect("succeeds");
     assert_eq!(merged.len(), 2);
-    assert_eq!(spawned.len(), 2, "empty shards must not spawn workers");
+    assert_eq!(
+        spawned.borrow().len(),
+        2,
+        "empty shards must not spawn workers"
+    );
 }
 
 #[test]
 fn empty_plan_spawns_nothing() {
-    let plan = ShardPlan::split(0, 4);
-    let merged = run_sharded(&plan, |_| unreachable!("no shard is populated")).expect("succeeds");
+    let plan = uniform(0, 4);
+    let merged = run_dispatched(&plan, &local_fleet(4), "sh", |_| {
+        unreachable!("no shard is populated")
+    })
+    .expect("succeeds");
     assert!(merged.is_empty());
 }
 
 #[test]
 fn a_flaky_shard_is_retried_once_and_recovers() {
     // The worker for shard 1 fails on its first invocation (before creating
-    // the marker file) and succeeds on the retry.
+    // the marker file) and succeeds when failed over to the other host.
     let dir = std::env::temp_dir().join(format!("wp_dist_retry_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let marker = dir.join("attempted");
     let _ = std::fs::remove_file(&marker);
 
-    let plan = ShardPlan::split(4, 2);
-    let merged = run_sharded(&plan, |s| {
+    let plan = uniform(4, 2);
+    let merged = run_dispatched(&plan, &local_fleet(2), "sh", |s| {
         if s == 1 {
-            let mut cmd = Command::new("sh");
-            cmd.arg("-c").arg(format!(
+            sh(format!(
                 "if [ -e '{m}' ]; then printf '{{\"index\": 2}}\\n{{\"index\": 3}}\\n'; \
                  else touch '{m}'; exit 1; fi",
                 m = marker.display()
-            ));
-            cmd
+            ))
         } else {
             echo_worker(s, &plan)
         }
@@ -86,19 +125,17 @@ fn a_flaky_shard_is_retried_once_and_recovers() {
 
 #[test]
 fn a_killed_child_surfaces_a_worker_error_after_the_retry() {
-    let plan = ShardPlan::split(3, 3);
-    let err = run_sharded(&plan, |s| {
-        let mut cmd = Command::new("sh");
+    let plan = uniform(3, 3);
+    let err = run_dispatched(&plan, &local_fleet(3), "sh", |s| {
         if s == 1 {
-            // Die by signal on every attempt.
-            cmd.arg("-c").arg("kill -9 $$");
+            // Die by signal on every host.
+            sh("kill -9 $$")
         } else {
-            cmd.arg("-c").arg(format!("printf '{{\"index\": {s}}}\\n'"));
+            sh(format!("printf '{{\"index\": {s}}}\\n'"))
         }
-        cmd
     })
     .expect_err("shard 1 never succeeds");
-    match err {
+    match last_error(err, 1) {
         DistError::WorkerFailed { shard, .. } => assert_eq!(shard, 1),
         other => panic!("expected WorkerFailed, got {other}"),
     }
@@ -106,20 +143,17 @@ fn a_killed_child_surfaces_a_worker_error_after_the_retry() {
 
 #[test]
 fn a_shard_dropping_rows_fails_loudly() {
-    let plan = ShardPlan::split(4, 2);
-    let err = run_sharded(&plan, |s| {
-        let mut cmd = Command::new("sh");
+    let plan = uniform(4, 2);
+    let err = run_dispatched(&plan, &local_fleet(2), "sh", |s| {
         // Shard 1 owns 2..4 but only reports index 2.
-        let script = if s == 1 {
-            "printf '{\"index\": 2}\\n'".to_string()
+        if s == 1 {
+            sh("printf '{\"index\": 2}\\n'")
         } else {
-            "printf '{\"index\": 0}\\n{\"index\": 1}\\n'".to_string()
-        };
-        cmd.arg("-c").arg(script);
-        cmd
+            sh("printf '{\"index\": 0}\\n{\"index\": 1}\\n'")
+        }
     })
     .expect_err("a dropped row must not merge");
-    match err {
+    match last_error(err, 1) {
         DistError::WrongIndices {
             shard,
             expected,
@@ -135,17 +169,14 @@ fn a_shard_dropping_rows_fails_loudly() {
 
 #[test]
 fn a_shard_double_emitting_a_row_fails_loudly() {
-    let plan = ShardPlan::split(2, 1);
-    let err = run_sharded(&plan, |_| {
-        let mut cmd = Command::new("sh");
-        // Covers 0..2 but reports index 1 twice: the duplicate must not
-        // silently last-write-win.
-        cmd.arg("-c")
-            .arg("printf '{\"index\": 0}\\n{\"index\": 1}\\n{\"index\": 1}\\n'");
-        cmd
+    let plan = uniform(2, 1);
+    // Covers 0..2 but reports index 1 twice: the duplicate must not
+    // silently last-write-win.
+    let err = run_dispatched(&plan, &local_fleet(1), "sh", |_| {
+        sh("printf '{\"index\": 0}\\n{\"index\": 1}\\n{\"index\": 1}\\n'")
     })
     .expect_err("duplicate records must not merge");
-    match err {
+    match last_error(err, 0) {
         DistError::WrongIndices { shard, got, .. } => {
             assert_eq!(shard, 0);
             assert_eq!(got, vec![0, 1, 1]);
@@ -156,59 +187,54 @@ fn a_shard_double_emitting_a_row_fails_loudly() {
 
 #[test]
 fn a_shard_reporting_foreign_indices_fails_loudly() {
-    let plan = ShardPlan::split(2, 2);
-    let err = run_sharded(&plan, |s| {
-        let mut cmd = Command::new("sh");
-        // Both shards claim index 0.
-        let _ = s;
-        cmd.arg("-c").arg("printf '{\"index\": 0}\\n'");
-        cmd
+    let plan = uniform(2, 2);
+    // Both shards claim index 0.
+    let err = run_dispatched(&plan, &local_fleet(2), "sh", |_| {
+        sh("printf '{\"index\": 0}\\n'")
     })
     .expect_err("trespassing records must not merge");
+    let last = last_error(err, 1);
     assert!(
-        matches!(err, DistError::WrongIndices { shard: 1, .. }),
-        "{err}"
+        matches!(last, DistError::WrongIndices { shard: 1, .. }),
+        "{last}"
     );
 }
 
 #[test]
 fn malformed_worker_output_names_the_shard_and_line() {
-    let plan = ShardPlan::split(2, 1);
-    let err = run_sharded(&plan, |_| {
-        let mut cmd = Command::new("sh");
-        cmd.arg("-c")
-            .arg("printf '{\"index\": 0}\\nnot json at all\\n'");
-        cmd
+    let plan = uniform(2, 1);
+    let err = run_dispatched(&plan, &local_fleet(1), "sh", |_| {
+        sh("printf '{\"index\": 0}\\nnot json at all\\n'")
     })
     .expect_err("malformed records must not merge");
-    match &err {
+    assert!(err.to_string().contains("shard 0"), "{err}");
+    match last_error(err, 0) {
         DistError::Malformed { shard, line, .. } => {
-            assert_eq!(*shard, 0);
-            assert_eq!(*line, 2);
+            assert_eq!(shard, 0);
+            assert_eq!(line, 2);
         }
         other => panic!("expected Malformed, got {other}"),
     }
-    assert!(err.to_string().contains("shard 0"), "{err}");
 }
 
 #[test]
 fn an_unspawnable_worker_surfaces_a_spawn_error() {
-    let plan = ShardPlan::split(1, 1);
-    let err = run_sharded(&plan, |_| Command::new("/nonexistent/worker/binary"))
-        .expect_err("spawn must fail");
-    assert!(matches!(err, DistError::Spawn { shard: 0, .. }), "{err}");
+    let plan = uniform(1, 1);
+    let err = run_dispatched(&plan, &local_fleet(1), "/nonexistent/worker/binary", |_| {
+        Vec::new()
+    })
+    .expect_err("spawn must fail");
+    let last = last_error(err, 0);
+    assert!(matches!(last, DistError::Spawn { shard: 0, .. }), "{last}");
 }
 
 /// Worker payloads survive the pipe byte-for-byte: awkward labels written
 /// with RFC 8259 escaping parse back to the original strings.
 #[test]
 fn payload_strings_round_trip_through_a_real_pipe() {
-    let plan = ShardPlan::split(1, 1);
-    let merged = run_sharded(&plan, |_| {
-        let mut cmd = Command::new("sh");
-        cmd.arg("-c")
-            .arg(r#"printf '{"index": 0, "label": "a\\"b\\\\c\\u0007d", "th": 0.75}\n'"#);
-        cmd
+    let plan = uniform(1, 1);
+    let merged = run_dispatched(&plan, &local_fleet(1), "sh", |_| {
+        sh(r#"printf '{"index": 0, "label": "a\\"b\\\\c\\u0007d", "th": 0.75}\n'"#)
     })
     .expect("succeeds");
     assert_eq!(
@@ -219,15 +245,4 @@ fn payload_strings_round_trip_through_a_real_pipe() {
     // And the record re-serialises to parseable JSON.
     let reparsed = Json::parse(&merged[0].to_string()).unwrap();
     assert_eq!(&reparsed, &merged[0]);
-}
-
-#[test]
-fn shard_spec_and_plan_agree_on_worker_ranges() {
-    // A worker parsing `--shard 2/5` must own exactly the range the parent
-    // planned for shard 2.
-    let plan = ShardPlan::split(13, 5);
-    for s in 0..5 {
-        let spec = ShardSpec::parse(&format!("{s}/5")).unwrap();
-        assert_eq!(spec.range(13), plan.range(s));
-    }
 }
