@@ -19,6 +19,10 @@
 //!    program to the halt and check the final data memory against the
 //!    workload's expected image; the golden-vs-WP1 throughput is reported.
 //!
+//! Each throughput batch also reports its period-oracle work on stderr —
+//! lanes extrapolated out of lanes run, lane-cycles simulated vs
+//! extrapolated — with a total line at the end; stdout is unchanged.
+//!
 //! Flags: `--spec FILE` (repeatable) checks committed `.nl` files;
 //! `--count N --seed S` checks `N` seeded `wp_gen` topologies (seeds
 //! `S..S+N`); `--blocks LO:HI`, `--chords LO:HI`, `--max-relay N` and
@@ -35,7 +39,9 @@ use wp_core::ShellConfig;
 use wp_gen::{generate, GenConfig};
 use wp_netlist::ThroughputModel;
 use wp_proc::{soc_spec_context, soc_state, Msg, SocSpecContext, CU, SOC_KINDS};
-use wp_sim::{GoldenSimulator, LaneLidSimulator, LaneScenario, RunGoal, Scenario, SweepRunner};
+use wp_sim::{
+    GoldenSimulator, LaneLidSimulator, LaneScenario, OracleRun, RunGoal, Scenario, SweepRunner,
+};
 use wp_spec::{lower, spec_to_dot, synthetic_registry, NetlistSpec};
 
 /// Lanes of the throughput batch: lane `k` adds `k` relay stations to the
@@ -65,6 +71,45 @@ impl fmt::Display for Failure {
             Failure::Throughput(m) => write!(f, "throughput: {m}"),
             Failure::Other(m) => write!(f, "{m}"),
         }
+    }
+}
+
+/// The period oracle's work over the throughput batches, reported on
+/// stderr per netlist and in total (stdout stays the CI-diffed summary).
+#[derive(Default)]
+struct OracleTally {
+    /// Lanes whose oracle run was attempted.
+    lanes: usize,
+    /// Lanes that finished by steady-state extrapolation.
+    extrapolated: usize,
+    /// Lane-cycles actually simulated.
+    simulated_cycles: u64,
+    /// Lane-cycles supplied by extrapolation instead.
+    extrapolated_cycles: u64,
+}
+
+impl OracleTally {
+    fn record(&mut self, run: &OracleRun) {
+        self.extrapolated += usize::from(run.extrapolated);
+        self.simulated_cycles += run.simulated_cycles;
+        self.extrapolated_cycles += run.extrapolated_cycles();
+    }
+
+    fn add(&mut self, other: &OracleTally) {
+        self.lanes += other.lanes;
+        self.extrapolated += other.extrapolated;
+        self.simulated_cycles += other.simulated_cycles;
+        self.extrapolated_cycles += other.extrapolated_cycles;
+    }
+}
+
+impl fmt::Display for OracleTally {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "oracle: {}/{} lanes extrapolated, {} lane-cycles simulated, {} extrapolated",
+            self.extrapolated, self.lanes, self.simulated_cycles, self.extrapolated_cycles
+        )
     }
 }
 
@@ -177,12 +222,14 @@ fn parse_options(args: &[String]) -> Result<Options, ArgError> {
 }
 
 /// Checks a synthetic (`fan`) netlist: streamed lid-vs-golden equivalence,
-/// then the 8-lane steady-state measurement against the exact MCR solver.
+/// then the 8-lane steady-state measurement against the exact MCR solver
+/// (the batch's oracle work is added to `tally`).
 fn check_synthetic(
     label: &str,
     spec: &NetlistSpec,
     firings: u64,
     runner: &SweepRunner,
+    tally: &mut OracleTally,
 ) -> Result<String, Failure> {
     // Validate the lowering once up front so factory closures may expect().
     lower::<u64>(spec, &synthetic_registry()).map_err(|e| Failure::Other(e.to_string()))?;
@@ -230,12 +277,13 @@ fn check_synthetic(
     let builder = lower(spec, &synthetic_registry()).expect("validated spec lowers");
     let mut sim = LaneLidSimulator::new(builder, &lanes, ShellConfig::strict())
         .map_err(|e| Failure::Other(format!("lane batch failed to assemble: {e}")))?;
+    let outcomes = sim.run_until_firings_extrapolated(0, firings, 100 * firings);
+    tally.lanes += outcomes.len();
+    for run in outcomes.iter().flatten() {
+        tally.record(run);
+    }
     let mut worst = 0.0f64;
-    for (k, outcome) in sim
-        .run_until_firings_extrapolated(0, firings, 100 * firings)
-        .into_iter()
-        .enumerate()
-    {
+    for (k, outcome) in outcomes.into_iter().enumerate() {
         let run = outcome.map_err(|e| Failure::Other(format!("lane {k}: {e}")))?;
         let mut lane_spec = spec.clone();
         lane_spec.channels[0].relay_stations += k;
@@ -325,6 +373,7 @@ fn check_netlist(
     mut spec: NetlistSpec,
     opts: &Options,
     runner: &SweepRunner,
+    tally: &mut OracleTally,
 ) -> Result<String, Failure> {
     if opts.print {
         print!("{spec}");
@@ -349,7 +398,7 @@ fn check_netlist(
         {
             Ok("skipped: topology-only SoC spec (no workload attributes)".to_string())
         }
-        None => check_synthetic(label, &spec, opts.firings, runner),
+        None => check_synthetic(label, &spec, opts.firings, runner, tally),
     }
 }
 
@@ -377,9 +426,15 @@ fn main() {
     }
 
     let (mut equivalence, mut throughput, mut other) = (0usize, 0usize, 0usize);
+    let mut oracle = OracleTally::default();
     let total = netlists.len();
     for (label, spec) in netlists {
-        let result = spec.and_then(|spec| check_netlist(&label, spec, &opts, &runner));
+        let mut tally = OracleTally::default();
+        let result = spec.and_then(|spec| check_netlist(&label, spec, &opts, &runner, &mut tally));
+        if tally.lanes > 0 {
+            eprintln!("{label:<24} {tally}");
+            oracle.add(&tally);
+        }
         match result {
             Ok(detail) => println!("{label:<24} ok    {detail}"),
             Err(failure) => {
@@ -396,6 +451,7 @@ fn main() {
         "\n{total} netlists: {equivalence} equivalence failures, {throughput} throughput \
          mismatches, {other} other failures"
     );
+    eprintln!("total {oracle}");
     if opts.verify && equivalence + throughput + other > 0 {
         std::process::exit(1);
     }

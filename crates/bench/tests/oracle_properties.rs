@@ -11,7 +11,7 @@
 use wp_bench::build_ring;
 use wp_core::{PortSet, Process, ShellConfig};
 use wp_netlist::ThroughputModel;
-use wp_sim::{LaneLidSimulator, LaneScenario, LidSimulator, SystemBuilder, MAX_LANES};
+use wp_sim::{LaneLidSimulator, LaneScenario, LidReport, LidSimulator, SystemBuilder, MAX_LANES};
 
 /// Deterministic splitmix64 — the same generator the stall schedules use,
 /// re-implemented here so the test owns its sequence.
@@ -134,52 +134,90 @@ fn build_graph(edges: &[(usize, usize, usize)]) -> SystemBuilder<u64> {
 /// measures: for seeded random strongly-connected netlists, every lane
 /// runs the same topology under a different relay budget on the backbone
 /// edge, and the measured steady-state throughput of each lane must match
-/// `ThroughputModel::Exact` on that lane's netlist.
+/// `ThroughputModel::Exact` on that lane's netlist.  The lanes' periods
+/// differ, so each lane must also find its own period and extrapolate,
+/// bit-identical to a scalar plain run of its netlist.
 #[test]
 fn exact_mcr_matches_the_lane_kernel_steady_state_on_random_netlists() {
     const TARGET: u64 = 20_000;
     const LANES: usize = 8;
-    for seed in [1u64, 7, 23, 2005, 40_289] {
-        let edges = random_edges(seed);
-        let relay_base: Vec<usize> = edges.iter().map(|&(_, _, rs)| rs).collect();
-        let lanes: Vec<LaneScenario> = (0..LANES)
-            .map(|lane| {
-                let mut relay_stations = relay_base.clone();
-                relay_stations[0] += lane;
-                LaneScenario {
-                    relay_stations,
-                    stall: None,
+    // The seeds are independent; their scalar reference runs dominate the
+    // test, so each seed checks on its own thread.
+    std::thread::scope(|scope| {
+        for seed in [1u64, 7, 23, 2005, 40_289] {
+            scope.spawn(move || {
+                let edges = random_edges(seed);
+                let relay_base: Vec<usize> = edges.iter().map(|&(_, _, rs)| rs).collect();
+                let lanes: Vec<LaneScenario> = (0..LANES)
+                    .map(|lane| {
+                        let mut relay_stations = relay_base.clone();
+                        relay_stations[0] += lane;
+                        LaneScenario {
+                            relay_stations,
+                            stall: None,
+                        }
+                    })
+                    .collect();
+                let mut sim =
+                    LaneLidSimulator::new(build_graph(&edges), &lanes, ShellConfig::strict())
+                        .expect("random graph assembles");
+                let outcomes = sim.run_until_firings_extrapolated(0, TARGET, 100 * TARGET);
+                for (lane, outcome) in outcomes.into_iter().enumerate() {
+                    let run = outcome.expect("strongly-connected graphs never deadlock");
+                    assert!(run.extrapolated, "seed {seed} lane {lane}: no period found");
+                    assert!(
+                        run.simulated_cycles * 10 < run.report.cycles,
+                        "seed {seed} lane {lane}: simulated {} of {} cycles",
+                        run.simulated_cycles,
+                        run.report.cycles
+                    );
+                    let mut lane_edges = edges.clone();
+                    lane_edges[0].2 += lane;
+                    let mut scalar =
+                        LidSimulator::new(build_graph(&lane_edges), ShellConfig::strict())
+                            .expect("random graph assembles");
+                    scalar.set_trace_enabled(false);
+                    scalar
+                        .run_until_firings(0, TARGET, 100 * TARGET)
+                        .expect("scalar run completes");
+                    assert_eq!(run.report, scalar.report(), "seed {seed} lane {lane}");
+                    let net = build_graph(&lane_edges).to_netlist();
+                    let predicted = ThroughputModel::Exact.predict(&net);
+                    let measured = TARGET as f64 / run.report.cycles as f64;
+                    assert!(
+                        (measured - predicted).abs() / predicted < 0.02,
+                        "seed {seed} lane {lane}: measured {measured} vs exact MCR {predicted}"
+                    );
                 }
-            })
-            .collect();
-        let mut sim = LaneLidSimulator::new(build_graph(&edges), &lanes, ShellConfig::strict())
-            .expect("random graph assembles");
-        let outcomes = sim.run_until_firings_extrapolated(0, TARGET, 100 * TARGET);
-        for (lane, outcome) in outcomes.into_iter().enumerate() {
-            let run = outcome.expect("strongly-connected graphs never deadlock");
-            let mut lane_edges = edges.clone();
-            lane_edges[0].2 += lane;
-            let net = build_graph(&lane_edges).to_netlist();
-            let predicted = ThroughputModel::Exact.predict(&net);
-            let measured = TARGET as f64 / run.report.cycles as f64;
-            assert!(
-                (measured - predicted).abs() / predicted < 0.02,
-                "seed {seed} lane {lane}: measured {measured} vs exact MCR {predicted}"
-            );
+            });
         }
-    }
+    });
 }
 
 /// Period-detection extrapolation must be bit-identical to plain
 /// simulation for every lane count: each lane of a `k`-lane batch must
 /// report exactly what a scalar simulator reports for the same ring and
-/// relay budget, for `k` spanning 1 to `MAX_LANES`.
+/// relay budget, for `k` spanning 1 to `MAX_LANES`, and every lane must
+/// extrapolate from its own period.
 #[test]
 fn lane_extrapolation_is_bit_identical_to_scalar_runs_for_all_lane_counts() {
     const TARGET: u64 = 20_000;
     const STAGES: usize = 4;
+    const BUDGETS: usize = 7;
+    let budget = |lane: usize| lane % BUDGETS;
+    // One scalar reference run per distinct budget, shared by every batch.
+    let references: Vec<(u64, LidReport)> = (0..BUDGETS)
+        .map(|rs| {
+            let mut scalar = LidSimulator::new(build_ring(STAGES, rs, None), ShellConfig::strict())
+                .expect("ring assembles");
+            scalar.set_trace_enabled(false);
+            let cycles = scalar
+                .run_until_firings(0, TARGET, 100 * TARGET)
+                .expect("scalar ring completes");
+            (cycles, scalar.report())
+        })
+        .collect();
     for k in [1usize, 2, 5, 63, MAX_LANES] {
-        let budget = |lane: usize| lane % 7;
         let lanes: Vec<LaneScenario> = (0..k)
             .map(|lane| {
                 let mut relay_stations = vec![0; STAGES];
@@ -195,25 +233,13 @@ fn lane_extrapolation_is_bit_identical_to_scalar_runs_for_all_lane_counts() {
                 .expect("ring assembles");
         let outcomes = sim.run_until_firings_extrapolated(0, TARGET, 100 * TARGET);
         assert_eq!(outcomes.len(), k);
-        let mut extrapolated = 0;
         for (lane, outcome) in outcomes.into_iter().enumerate() {
             let run = outcome.expect("rings never deadlock");
-            let mut scalar = LidSimulator::new(
-                build_ring(STAGES, budget(lane), None),
-                ShellConfig::strict(),
-            )
-            .expect("ring assembles");
-            scalar.set_trace_enabled(false);
-            let cycles = scalar
-                .run_until_firings(0, TARGET, 100 * TARGET)
-                .expect("scalar ring completes");
-            assert_eq!(run.report.cycles, cycles, "k={k} lane {lane}");
-            assert_eq!(run.report, scalar.report(), "k={k} lane {lane}");
-            if run.extrapolated {
-                extrapolated += 1;
-                assert!(run.simulated_cycles < run.report.cycles);
-            }
+            let (cycles, report) = &references[budget(lane)];
+            assert_eq!(run.report.cycles, *cycles, "k={k} lane {lane}");
+            assert_eq!(&run.report, report, "k={k} lane {lane}");
+            assert!(run.extrapolated, "k={k} lane {lane}: no period found");
+            assert!(run.simulated_cycles < run.report.cycles);
         }
-        assert!(extrapolated > 0, "k={k}: no lane extrapolated");
     }
 }

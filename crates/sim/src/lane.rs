@@ -44,9 +44,8 @@
 //! drain).  The property test `tests/lane_equivalence.rs` pins this for
 //! random systems, schedules and lane counts, including ragged batches.
 
-use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::Hasher;
 
 use wp_core::{
     relay_station_control, shell_fire_control, shell_release_control, ShellConfig, SyncPolicy,
@@ -269,6 +268,59 @@ fn iter_lanes(mut mask: u64) -> impl Iterator<Item = usize> {
     })
 }
 
+/// Splits packed control words into per-lane bit-slices: on return lane
+/// `l`'s slice is `out[l * chunks .. (l + 1) * chunks]`, where bit `j` of
+/// its word `k` is bit `l` of `words[64 * k + j]`.  Returns `chunks`.
+///
+/// Narrow batches gather each lane's bits directly; wider ones transpose
+/// 64 words at a time, which costs the same for any lane count (the
+/// crossover on the CI corpus lies between 4 and 8 lanes).
+fn lane_slices(words: &[u64], lanes: usize, out: &mut Vec<u64>) -> usize {
+    let chunks = words.len().div_ceil(64);
+    out.clear();
+    out.resize(lanes * chunks, 0);
+    if lanes <= 4 {
+        for lane in 0..lanes {
+            for (k, chunk) in words.chunks(64).enumerate() {
+                out[lane * chunks + k] = chunk
+                    .iter()
+                    .enumerate()
+                    .fold(0, |acc, (j, &w)| acc | ((w >> lane) & 1) << j);
+            }
+        }
+        return chunks;
+    }
+    let mut block = [0u64; 64];
+    for (k, chunk) in words.chunks(64).enumerate() {
+        block[..chunk.len()].copy_from_slice(chunk);
+        block[chunk.len()..].fill(0);
+        transpose64(&mut block);
+        for (lane, &row) in block.iter().take(lanes).enumerate() {
+            out[lane * chunks + k] = row;
+        }
+    }
+    chunks
+}
+
+/// Transposes a 64×64 bit matrix in place (bit `j` of row `i` ↔ bit `i` of
+/// row `j`) by recursive block swaps: at each width `w`, the upper-`w`-bit
+/// halves of rows `r` trade places with the lower halves of rows `r + w`.
+fn transpose64(rows: &mut [u64; 64]) {
+    let mut width = 32;
+    let mut mask: u64 = 0x0000_0000_ffff_ffff;
+    while width != 0 {
+        for base in (0..64).step_by(2 * width) {
+            for r in base..base + width {
+                let t = ((rows[r] >> width) ^ rows[r + width]) & mask;
+                rows[r] ^= t << width;
+                rows[r + width] ^= t;
+            }
+        }
+        width >>= 1;
+        mask ^= mask << width;
+    }
+}
+
 /// The per-lane inputs of a lane batch: everything a scenario may vary
 /// *without* changing the control structure of the netlist.
 #[derive(Debug, Clone, Default)]
@@ -310,16 +362,24 @@ struct LaneFinal {
     firings: Vec<u64>,
 }
 
-/// What the lane kernel's one-period re-simulation established (the lane
-/// counterpart of the scalar verifier in [`crate::LidSimulator`]).
-enum LaneVerdict {
-    /// The joint control state repeated exactly: `fire_masks[t * n + p]`
-    /// holds the lanes that fired process `p` in in-period cycle `t`.
-    Verified { fire_masks: Vec<u64> },
-    /// The candidate was a hash collision (or a halt flipped inside the
-    /// window) — or every lane was decided mid-verification; either way
-    /// there is nothing to extrapolate from.
-    NotPeriodic,
+/// Per-lane progress of the period oracle (see
+/// [`LaneLidSimulator::run_until_firings_extrapolated`]).
+enum PeriodSearch {
+    /// Hashing the lane's control slice every cycle: slice hash → the
+    /// clock it was first seen at.
+    Hashing(HashMap<u64, u64>),
+    /// The slice at `start` (kept as `snapshot`) hashed like the one seen
+    /// `period` cycles earlier; at `start + period` the lane's full slice
+    /// must equal `snapshot` again.
+    Verifying {
+        start: u64,
+        period: u64,
+        snapshot: Vec<u64>,
+    },
+    /// Nothing left to detect: a verified period did not extrapolate (the
+    /// lane finishes by plain simulation), or the batch has a stall
+    /// schedule.
+    Done,
 }
 
 /// The bit-parallel latency-insensitive kernel: up to 64 instances of one
@@ -744,13 +804,14 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
 
     /// The packed control state of the whole batch as one flat word vector:
     /// every relay-station plane, output-validity and stop-register plane,
-    /// queue-occupancy counter plane and halted plane.  Because lanes are
-    /// bit-slices of these words and never interact, a repeat of this joint
-    /// vector proves *every* lane's control trajectory — and therefore its
-    /// firing pattern — repeats with the joint period (see
-    /// [`crate::ORACLE_DETECTION_WINDOW`] for the soundness argument shared
-    /// with the scalar oracle).  The monotonic `fired` counters and the
-    /// halt-script down-counters are deliberately excluded, exactly like
+    /// queue-occupancy counter plane and halted plane.  Lanes never
+    /// interact, so lane `l`'s control state is bit `l` of every word (its
+    /// *slice*, see [`lane_slices`]): a repeat of one lane's slice proves
+    /// that lane's control trajectory — and therefore its firing pattern —
+    /// repeats with that lane's own period, whatever the other lanes do
+    /// (see [`crate::ORACLE_DETECTION_WINDOW`] for the soundness argument
+    /// shared with the scalar oracle).  The monotonic `fired` counters and
+    /// the halt-script down-counters are deliberately excluded, exactly like
     /// the scalar kernel's firing counters: their effect on the control
     /// plane is fully captured by the halted planes.
     fn control_vec(&self, out: &mut Vec<u64>) {
@@ -768,32 +829,28 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
         out.extend_from_slice(&self.halted);
     }
 
-    /// Hashes the packed control state (scratch avoids re-allocating the
-    /// state vector every cycle).
-    fn control_hash(&self, scratch: &mut Vec<u64>) -> u64 {
-        self.control_vec(scratch);
-        let mut hasher = DefaultHasher::new();
-        for &word in scratch.iter() {
-            hasher.write_u64(word);
-        }
-        hasher.finish()
-    }
-
     /// The lane counterpart of
     /// [`crate::LidSimulator::run_until_firings_extrapolated`]: runs every
     /// lane of a freshly constructed kernel until `node` has fired `target`
-    /// times, detecting the steady-state period of the *joint* control
-    /// state and extrapolating each lane's goal cycle and firing counters
-    /// in O(1) once the period is verified.
+    /// times, detecting each lane's steady-state period on its own and
+    /// extrapolating that lane's goal cycle and firing counters in O(1)
+    /// once its period is verified.
     ///
-    /// Lanes are independent bit-slices of the control planes, so one joint
-    /// period (the least common multiple of the per-lane periods, found by
-    /// hashing all planes at once) proves every lane's pattern; lanes that
-    /// reach their goal before a period is found are reported from plain
-    /// simulation, bit-identical to [`LaneLidSimulator::run`] without a
-    /// drain.  Batches with a stall schedule never extrapolate — the
-    /// schedule hashes the absolute cycle, so the control plane alone does
-    /// not determine the future — and simply simulate to their goals.
+    /// Every cycle, each lane still searching hashes its own slice of the
+    /// packed control planes (bit `l` of every word for lane `l`) into its
+    /// own first-seen map.  On a repeat the lane keeps stepping for one more
+    /// period with the rest of the batch and then compares its full slice
+    /// against the snapshot taken at the repeat (defeating hash collisions
+    /// and catching halt flips inside the window); a match extrapolates the
+    /// lane alone, a mismatch restarts its search.  Lanes with different
+    /// relay budgets therefore extrapolate after their own short periods,
+    /// never waiting for the joint period of the batch.  Lanes that reach
+    /// their goal, run out of budget or deadlock before extrapolating are
+    /// reported from plain simulation, bit-identical to
+    /// [`LaneLidSimulator::run`] without a drain.  Batches with a stall
+    /// schedule never extrapolate — the schedule hashes the absolute cycle,
+    /// so the control plane alone does not determine the future — and
+    /// simply simulate to their goals.
     ///
     /// Returns one [`OracleRun`] (or the lane's [`SimError`], exactly as
     /// plain simulation would have produced it) per lane, in lane order.
@@ -806,14 +863,25 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
         max_cycles: u64,
     ) -> Vec<Result<OracleRun, SimError>> {
         debug_assert_eq!(self.clock, 0, "expects a fresh kernel");
+        let n = self.ports.len();
         let mut results: Vec<Option<Result<OracleRun, SimError>>> =
             (0..self.lanes).map(|_| None).collect();
         let mut undecided = self.lane_mask;
         let mut goal_rem = LaneCounters::with_value(target, self.lane_mask);
         let mut idle = LaneCounters::new(bits_for(self.deadlock_window) + 1);
-        let mut detect = self.stall.is_none();
-        let mut seen: HashMap<u64, u64> = HashMap::new();
-        let mut scratch: Vec<u64> = Vec::new();
+        let mut search: Vec<PeriodSearch> = (0..self.lanes)
+            .map(|_| match self.stall {
+                None => PeriodSearch::Hashing(HashMap::new()),
+                Some(_) => PeriodSearch::Done,
+            })
+            .collect();
+        let mut words: Vec<u64> = Vec::new();
+        let mut slices: Vec<u64> = Vec::new();
+        // Fire rows (`n` masks per cycle) of every cycle since `log_start`:
+        // logged while detection runs, trimmed to the oldest candidate
+        // still being verified.
+        let mut fire_log: Vec<u64> = Vec::new();
+        let mut log_start = 0u64;
 
         loop {
             // Boundary checks in the plain kernel's order: goal first, then
@@ -838,53 +906,95 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
                 break;
             }
 
-            if detect && self.clock <= ORACLE_DETECTION_WINDOW {
-                let hash = self.control_hash(&mut scratch);
-                match seen.entry(hash) {
-                    Entry::Occupied(entry) => {
-                        let period = self.clock - *entry.get();
-                        let verdict = self.verify_lane_period(
-                            node,
-                            max_cycles,
-                            period,
-                            &mut results,
-                            &mut undecided,
-                            &mut goal_rem,
-                            &mut idle,
-                        );
-                        match verdict {
-                            LaneVerdict::Verified { fire_masks } => {
-                                self.extrapolate_lanes(
-                                    node,
-                                    target,
-                                    max_cycles,
-                                    period,
-                                    &fire_masks,
-                                    &mut results,
-                                    &mut undecided,
-                                );
-                                // Lanes that cannot extrapolate (their goal
-                                // process never fires again, or their
-                                // steady-state gaps reach the deadlock
-                                // window) finish by plain simulation; the
-                                // verified period would only re-verify, so
-                                // detection is done.
-                                detect = false;
-                            }
-                            LaneVerdict::NotPeriodic => {}
-                        }
-                        seen.clear();
-                        // Re-run the boundary checks before hashing or
-                        // stepping again: verification advanced the clock.
-                        continue;
+            // Period detection, lane by lane: verdicts on candidates whose
+            // period ends now, then hashing for lanes still searching.  Once
+            // no undecided lane is searching or verifying, none ever will
+            // again (hashing stops at the window), so the fire log below
+            // covers every cycle from `log_start` to the clock.
+            let clock = self.clock;
+            let (mut detecting, mut due) = (false, false);
+            for lane in iter_lanes(undecided) {
+                match &search[lane] {
+                    PeriodSearch::Hashing(_) if clock <= ORACLE_DETECTION_WINDOW => {
+                        (detecting, due) = (true, true);
                     }
-                    Entry::Vacant(entry) => {
-                        entry.insert(self.clock);
+                    PeriodSearch::Verifying { start, period, .. } => {
+                        detecting = true;
+                        due |= start + period == clock;
+                    }
+                    _ => {}
+                }
+            }
+            if due {
+                self.control_vec(&mut words);
+                let chunks = lane_slices(&words, self.lanes, &mut slices);
+                for lane in iter_lanes(undecided) {
+                    let slice = &slices[lane * chunks..(lane + 1) * chunks];
+                    if let PeriodSearch::Verifying {
+                        start,
+                        period,
+                        snapshot,
+                    } = &search[lane]
+                    {
+                        if start + period != clock {
+                            continue;
+                        }
+                        if snapshot.as_slice() == slice {
+                            let from = (start - log_start) as usize * n;
+                            let rows = &fire_log[from..from + *period as usize * n];
+                            if let Some(outcome) =
+                                self.extrapolate_lane(lane, node, target, max_cycles, *period, rows)
+                            {
+                                results[lane] = Some(outcome);
+                                undecided &= !(1u64 << lane);
+                            }
+                            // A lane that cannot extrapolate (its goal
+                            // process never fires again, or its steady-state
+                            // gaps reach the deadlock window) finishes by
+                            // plain simulation; its verified period would
+                            // only re-verify, so its detection is done.
+                            search[lane] = PeriodSearch::Done;
+                            continue;
+                        }
+                        search[lane] = PeriodSearch::Hashing(HashMap::new());
+                    }
+                    if let PeriodSearch::Hashing(seen) = &mut search[lane] {
+                        if clock > ORACLE_DETECTION_WINDOW {
+                            continue;
+                        }
+                        // The map hashes this key again; a collision of the
+                        // fold only costs a failed verification.
+                        let key = slice.iter().fold(0, |acc, &word| mix(acc ^ word));
+                        match seen.entry(key) {
+                            Entry::Occupied(first) => {
+                                search[lane] = PeriodSearch::Verifying {
+                                    start: clock,
+                                    period: clock - *first.get(),
+                                    snapshot: slice.to_vec(),
+                                };
+                            }
+                            Entry::Vacant(entry) => {
+                                entry.insert(clock);
+                            }
+                        }
                     }
                 }
+                // Keep only the fire rows a pending verification still needs.
+                let oldest = iter_lanes(undecided)
+                    .filter_map(|lane| match &search[lane] {
+                        PeriodSearch::Verifying { start, .. } => Some(*start),
+                        _ => None,
+                    })
+                    .min()
+                    .unwrap_or(clock);
+                fire_log.drain(..(oldest - log_start) as usize * n);
+                log_start = oldest;
             }
 
             let fired_any = self.step_cycle(self.lane_mask);
+            if detecting {
+                fire_log.extend_from_slice(&self.fire_scratch);
+            }
             idle.clear_lanes(fired_any);
             idle.add_mask(undecided & !fired_any);
             goal_rem.sub_mask(self.fire_scratch[node] & undecided);
@@ -905,136 +1015,70 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
         }
     }
 
-    /// Re-simulates exactly `period` cycles and compares the complete
-    /// control vector against the snapshot taken at entry (defeating hash
-    /// collisions), recording each cycle's per-process fire masks.  The
-    /// per-cycle boundary bookkeeping of the main loop continues, so lanes
-    /// may reach their goals — or run out of budget — mid-verification.
-    #[allow(clippy::too_many_arguments)]
-    fn verify_lane_period(
-        &mut self,
-        node: ProcessId,
-        max_cycles: u64,
-        period: u64,
-        results: &mut [Option<Result<OracleRun, SimError>>],
-        undecided: &mut u64,
-        goal_rem: &mut LaneCounters,
-        idle: &mut LaneCounters,
-    ) -> LaneVerdict {
-        let n = self.ports.len();
-        let mut expect: Vec<u64> = Vec::new();
-        self.control_vec(&mut expect);
-        let mut fire_masks: Vec<u64> = Vec::with_capacity(period as usize * n);
-        for _ in 0..period {
-            let fired_any = self.step_cycle(self.lane_mask);
-            fire_masks.extend_from_slice(&self.fire_scratch);
-            idle.clear_lanes(fired_any);
-            idle.add_mask(*undecided & !fired_any);
-            goal_rem.sub_mask(self.fire_scratch[node] & *undecided);
-
-            let goal_now = *undecided & !goal_rem.nonzero_mask();
-            for lane in iter_lanes(goal_now) {
-                results[lane] = Some(Ok(self.plain_lane_outcome(lane)));
-            }
-            *undecided &= !goal_now;
-            if *undecided != 0 && self.clock >= max_cycles {
-                for lane in iter_lanes(*undecided) {
-                    results[lane] = Some(Err(SimError::MaxCyclesExceeded { max_cycles }));
-                }
-                *undecided = 0;
-            }
-            let dead = *undecided & idle.ge_const(self.deadlock_window);
-            for lane in iter_lanes(dead) {
-                results[lane] = Some(Err(SimError::Deadlock { cycle: self.clock }));
-            }
-            *undecided &= !dead;
-            if *undecided == 0 {
-                return LaneVerdict::NotPeriodic;
-            }
-        }
-        let mut actual: Vec<u64> = Vec::new();
-        self.control_vec(&mut actual);
-        if actual == expect {
-            LaneVerdict::Verified { fire_masks }
-        } else {
-            LaneVerdict::NotPeriodic
-        }
-    }
-
-    /// Extrapolates every still-undecided lane from the verified per-cycle
-    /// fire masks, using the same arithmetic (and the same exact
-    /// error-parity guarantees) as the scalar oracle: the goal cycle is
+    /// Extrapolates one lane from its verified period, `rows[t * n + p]`
+    /// holding the lanes that fired process `p` in in-period cycle `t`,
+    /// using the same arithmetic (and the same exact error-parity
+    /// guarantees) as the scalar oracle: the goal cycle is
     /// `clock + k·period + t + 1`, the budget errs iff that exceeds
     /// `max_cycles`, and every firing counter is the simulated count plus
-    /// `k` whole periods plus the partial period up to `t`.  Lanes whose
-    /// goal process never fires in the period, or whose steady-state firing
-    /// gaps reach the deadlock window, are left undecided — plain
+    /// `k` whole periods plus the partial period up to `t`.  Returns `None`
+    /// when the lane's goal process never fires in the period or its
+    /// steady-state firing gaps reach the deadlock window — plain
     /// simulation then reproduces exactly the budget or deadlock error the
     /// un-extrapolated run would have hit.
-    #[allow(clippy::too_many_arguments)]
-    fn extrapolate_lanes(
+    fn extrapolate_lane(
         &self,
+        lane: usize,
         node: ProcessId,
         target: u64,
         max_cycles: u64,
         period: u64,
-        fire_masks: &[u64],
-        results: &mut [Option<Result<OracleRun, SimError>>],
-        undecided: &mut u64,
-    ) {
+        rows: &[u64],
+    ) -> Option<Result<OracleRun, SimError>> {
         let n = self.ports.len();
-        let cycles_per_period = period as usize;
-        let mut cum_node: Vec<u64> = Vec::with_capacity(cycles_per_period);
-        let mut fired_lane: Vec<bool> = Vec::with_capacity(cycles_per_period);
-        for lane in iter_lanes(*undecided) {
-            let bit = 1u64 << lane;
-            cum_node.clear();
-            fired_lane.clear();
-            let mut cum = 0u64;
-            for t in 0..cycles_per_period {
-                let row = &fire_masks[t * n..(t + 1) * n];
-                cum += u64::from(row[node] & bit != 0);
-                cum_node.push(cum);
-                fired_lane.push(row.iter().any(|&mask| mask & bit != 0));
-            }
-            let delta = cum;
-            if delta == 0 || max_cyclic_gap(&fired_lane) >= self.deadlock_window {
-                continue;
-            }
-            let rem = target - self.fired[node].get(lane);
-            debug_assert!(rem >= 1, "an undecided lane has firings left to go");
-            let (k, residue) = split_remaining(rem, delta);
-            let t = goal_offset(&cum_node, residue);
-            let goal_cycle = self.clock + k * period + t as u64 + 1;
-            let outcome = if goal_cycle > max_cycles {
-                Err(SimError::MaxCyclesExceeded { max_cycles })
-            } else {
-                let firings: Vec<u64> = (0..n)
-                    .map(|p| {
-                        let mut whole = 0u64;
-                        let mut partial = 0u64;
-                        for (step, row) in fire_masks.chunks_exact(n).enumerate() {
-                            let fired_here = u64::from(row[p] & bit != 0);
-                            whole += fired_here;
-                            if step <= t {
-                                partial += fired_here;
-                            }
-                        }
-                        self.fired[p].get(lane) + k * whole + partial
-                    })
-                    .collect();
-                Ok(OracleRun {
-                    report: lane_report(LaneFinal {
-                        cycles: goal_cycle,
-                        firings,
-                    }),
-                    simulated_cycles: self.clock,
-                    extrapolated: true,
-                })
-            };
-            results[lane] = Some(outcome);
-            *undecided &= !bit;
+        let bit = 1u64 << lane;
+        let mut cum_node: Vec<u64> = Vec::with_capacity(period as usize);
+        let mut fired_lane: Vec<bool> = Vec::with_capacity(period as usize);
+        let mut cum = 0u64;
+        for row in rows.chunks_exact(n) {
+            cum += u64::from(row[node] & bit != 0);
+            cum_node.push(cum);
+            fired_lane.push(row.iter().any(|&mask| mask & bit != 0));
         }
+        let delta = cum;
+        if delta == 0 || max_cyclic_gap(&fired_lane) >= self.deadlock_window {
+            return None;
+        }
+        let rem = target - self.fired[node].get(lane);
+        debug_assert!(rem >= 1, "an undecided lane has firings left to go");
+        let (k, residue) = split_remaining(rem, delta);
+        let t = goal_offset(&cum_node, residue);
+        let goal_cycle = self.clock + k * period + t as u64 + 1;
+        if goal_cycle > max_cycles {
+            return Some(Err(SimError::MaxCyclesExceeded { max_cycles }));
+        }
+        let firings: Vec<u64> = (0..n)
+            .map(|p| {
+                let mut whole = 0u64;
+                let mut partial = 0u64;
+                for (step, row) in rows.chunks_exact(n).enumerate() {
+                    let fired_here = u64::from(row[p] & bit != 0);
+                    whole += fired_here;
+                    if step <= t {
+                        partial += fired_here;
+                    }
+                }
+                self.fired[p].get(lane) + k * whole + partial
+            })
+            .collect();
+        Some(Ok(OracleRun {
+            report: lane_report(LaneFinal {
+                cycles: goal_cycle,
+                firings,
+            }),
+            simulated_cycles: self.clock,
+            extrapolated: true,
+        }))
     }
 
     /// Advances the embedded golden twin until it has simulated at least
@@ -1660,6 +1704,140 @@ mod tests {
                     "lane {l}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn lane_slices_pick_bit_l_of_every_word() {
+        let mut state = 0x5eed_u64;
+        for len in [1usize, 63, 64, 65, 130] {
+            let words: Vec<u64> = (0..len)
+                .map(|_| {
+                    state = mix(state);
+                    state
+                })
+                .collect();
+            // Both the narrow gather and the 64×64 transpose.
+            for lanes in [1usize, 4, 5, 64] {
+                let mut out = Vec::new();
+                let chunks = lane_slices(&words, lanes, &mut out);
+                assert_eq!(chunks, len.div_ceil(64));
+                for lane in 0..lanes {
+                    for (i, &w) in words.iter().enumerate() {
+                        let got = (out[lane * chunks + i / 64] >> (i % 64)) & 1;
+                        assert_eq!(got, (w >> lane) & 1, "len {len} lanes {lanes} lane {lane}");
+                    }
+                    // Padding bits past the last word stay clear.
+                    for i in len..chunks * 64 {
+                        assert_eq!((out[lane * chunks + i / 64] >> (i % 64)) & 1, 0);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The oracle outcome of one lane against a scalar plain run of the
+    /// same 2-stage ring: identical report, or the identical error.
+    fn assert_matches_scalar(
+        lane: usize,
+        rs: usize,
+        outcome: &Result<OracleRun, SimError>,
+        target: u64,
+        max_cycles: u64,
+        deadlock_window: u64,
+    ) {
+        let mut scalar = LidSimulator::new(ring(2, rs), ShellConfig::strict()).unwrap();
+        scalar.set_trace_enabled(false);
+        scalar.set_deadlock_window(deadlock_window);
+        match (outcome, scalar.run_until_firings(0, target, max_cycles)) {
+            (Ok(run), Ok(cycles)) => {
+                assert_eq!(run.report.cycles, cycles, "lane {lane}");
+                assert_eq!(run.report, scalar.report(), "lane {lane}");
+            }
+            (Err(lane_err), Err(scalar_err)) => {
+                assert_eq!(
+                    format!("{lane_err:?}"),
+                    format!("{scalar_err:?}"),
+                    "lane {lane}"
+                );
+            }
+            (lane_result, scalar_result) => panic!(
+                "lane {lane}: lane kernel {:?} vs scalar {:?}",
+                lane_result.as_ref().map(|r| r.report.cycles),
+                scalar_result
+            ),
+        }
+    }
+
+    /// Lane `k` of a 2-stage ring with `rs` relay stations has a
+    /// steady-state period of `rs + 2` cycles.  Periods 17, 19, 23 and 29
+    /// are pairwise coprime, so the batch's joint period is their product,
+    /// 215,441 — past the detection window.  Each lane still finds its own
+    /// period and extrapolates.
+    #[test]
+    fn coprime_lane_periods_extrapolate_every_lane() {
+        let target = 5_000u64;
+        let max_cycles = 10_000_000u64;
+        let budgets = [15usize, 17, 21, 27];
+        let periods: u64 = budgets.iter().map(|&rs| rs as u64 + 2).product();
+        assert!(periods > ORACLE_DETECTION_WINDOW);
+        let lanes: Vec<LaneScenario> = budgets
+            .iter()
+            .map(|&rs| LaneScenario {
+                relay_stations: vec![rs, 0],
+                stall: None,
+            })
+            .collect();
+        let mut kernel = LaneLidSimulator::new(ring(2, 0), &lanes, ShellConfig::strict()).unwrap();
+        let outcomes = kernel.run_until_firings_extrapolated(0, target, max_cycles);
+        for (l, (outcome, &rs)) in outcomes.iter().zip(&budgets).enumerate() {
+            let run = outcome.as_ref().expect("ring lanes complete");
+            assert!(run.extrapolated, "lane {l} should have extrapolated");
+            assert!(
+                run.simulated_cycles * 10 < run.report.cycles,
+                "lane {l}: simulated {} of {} cycles",
+                run.simulated_cycles,
+                run.report.cycles
+            );
+            assert_matches_scalar(l, rs, outcome, target, max_cycles, DEFAULT_DEADLOCK_WINDOW);
+        }
+    }
+
+    /// One lane deadlocks (its steady-state firing gaps reach the deadlock
+    /// window), one runs out of cycle budget, and the rest extrapolate; every
+    /// error is exactly the scalar kernel's.
+    #[test]
+    fn mixed_batch_errors_match_scalar_while_other_lanes_extrapolate() {
+        let target = 5_000u64;
+        let window = 24u64;
+        // Goal cycles grow with the budget, so a cycle budget between the
+        // fastest two lanes' goals fails only the second.
+        let goal = |rs: usize| {
+            let mut scalar = LidSimulator::new(ring(2, rs), ShellConfig::strict()).unwrap();
+            scalar.set_trace_enabled(false);
+            scalar.run_until_firings(0, target, u64::MAX).unwrap()
+        };
+        let max_cycles = goal(16) - 1;
+        assert!(goal(14) <= max_cycles);
+        let budgets = [14usize, 16, 31];
+        let lanes: Vec<LaneScenario> = budgets
+            .iter()
+            .map(|&rs| LaneScenario {
+                relay_stations: vec![rs, 0],
+                stall: None,
+            })
+            .collect();
+        let mut kernel = LaneLidSimulator::new(ring(2, 0), &lanes, ShellConfig::strict()).unwrap();
+        kernel.set_deadlock_window(window);
+        let outcomes = kernel.run_until_firings_extrapolated(0, target, max_cycles);
+        assert!(outcomes[0].as_ref().expect("fast lane fits").extrapolated);
+        assert!(matches!(
+            outcomes[1],
+            Err(SimError::MaxCyclesExceeded { .. })
+        ));
+        assert!(matches!(outcomes[2], Err(SimError::Deadlock { .. })));
+        for (l, (outcome, &rs)) in outcomes.iter().zip(&budgets).enumerate() {
+            assert_matches_scalar(l, rs, outcome, target, max_cycles, window);
         }
     }
 }

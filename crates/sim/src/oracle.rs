@@ -22,6 +22,15 @@
 //! detection window, it falls back to plain simulation — the oracle only
 //! ever reads state, so the fallback is bit-identical to never having asked.
 //!
+//! [`crate::LaneLidSimulator::run_until_firings_extrapolated`] applies the
+//! same argument to each lane of a batch on its own.  Lanes never interact,
+//! so a lane's control state is its bit-slice of the packed control planes;
+//! each lane hashes its slice into its own first-seen map, verifies its own
+//! candidate period against a full-slice snapshot and extrapolates alone.
+//! Lanes with different relay budgets have different periods, and their
+//! joint period — the least common multiple — can exceed the detection
+//! window; per-lane detection never waits for it.
+//!
 //! One caveat bounds the soundness argument: a *halted* flag is part of the
 //! hashed control state, but its transition is driven by the process's data
 //! (the control plane cannot predict a future halt).  Any flip inside the
@@ -37,8 +46,8 @@
 
 use crate::lid::LidReport;
 
-/// How many cycles the period detector searches before giving up and
-/// falling back to plain simulation.  Steady-state periods of the systems
+/// How many cycles the period detector searches (per lane, in the lane
+/// kernel) before giving up and falling back to plain simulation.  Steady-state periods of the systems
 /// in this workspace are tiny (a few to a few hundred cycles — bounded by
 /// the loop lengths of the netlist), so the window is generous.
 pub const ORACLE_DETECTION_WINDOW: u64 = 65_536;

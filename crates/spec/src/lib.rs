@@ -56,6 +56,7 @@ mod synth;
 
 pub use ast::{BlockSpec, ChannelDecl, Endpoint, NetlistSpec, SpecError};
 pub use lower::{lower, BlockRegistry};
+pub use parse::{MAX_LATENCY, MAX_RELAY_STATIONS};
 pub use synth::{synthetic_registry, FanBlock};
 
 use wp_netlist::to_dot_with;

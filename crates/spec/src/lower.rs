@@ -15,6 +15,7 @@ use wp_core::Process;
 use wp_sim::SystemBuilder;
 
 use crate::ast::{BlockSpec, Direction, NetlistSpec, SpecError};
+use crate::parse::MAX_RELAY_STATIONS;
 
 /// A boxed block constructor: builds the process for one [`BlockSpec`],
 /// interpreting its attributes, or explains why it cannot.
@@ -113,11 +114,22 @@ impl<V> BlockRegistry<V> {
 /// enforces it), when a kind is unknown to the registry or its constructor
 /// rejects the block's attributes, when a constructed process disagrees
 /// with the declared port counts, or when the resulting system fails
-/// `SystemBuilder::validate`.
+/// `SystemBuilder::validate` — and, before anything is built, when the
+/// channels' relay stations total more than [`MAX_RELAY_STATIONS`] (say,
+/// after [`NetlistSpec::insert_relays`] at a tiny clock period).
 pub fn lower<V>(
     spec: &NetlistSpec,
     registry: &BlockRegistry<V>,
 ) -> Result<SystemBuilder<V>, SpecError> {
+    let total: u128 = spec.channels.iter().map(|c| c.relay_stations as u128).sum();
+    if total > MAX_RELAY_STATIONS as u128 {
+        return Err(SpecError::Build {
+            message: format!(
+                "the channels' relay stations total {total}, over the limit of \
+                 {MAX_RELAY_STATIONS}"
+            ),
+        });
+    }
     spec.check()
         .map_err(|message| SpecError::Build { message })?;
     let mut builder = SystemBuilder::new();

@@ -5,6 +5,18 @@ use wp_lex::{directive_lines, split_fields, Pairs};
 
 use crate::ast::{BlockSpec, ChannelDecl, Direction, Endpoint, NetlistSpec, SpecError};
 
+/// The largest relay-station count one `relay=` value may declare, and the
+/// largest total [`crate::lower`] builds.  Every simulated station holds
+/// registers in every lane and every worker, so the cap keeps a hostile
+/// spec from exhausting memory; real netlists stay orders of magnitude
+/// below it.
+pub const MAX_RELAY_STATIONS: usize = 1 << 16;
+
+/// The largest wire latency (in clock periods) one `latency=` value may
+/// declare.  At the unit clock `latency=N` becomes `N - 1` relay stations,
+/// so this matches [`MAX_RELAY_STATIONS`].
+pub const MAX_LATENCY: u64 = 1 << 16;
+
 impl NetlistSpec {
     /// Parses netlist-spec text (see `docs/NETLIST_FORMAT.md` and the crate
     /// docs for the format).
@@ -15,9 +27,10 @@ impl NetlistSpec {
     /// an unknown directive, a malformed field list, a duplicate block /
     /// port / channel / budget declaration, a reference to an undeclared
     /// block, port or channel, a non-numeric `relay` / `latency` / `budget`
-    /// value, an unterminated quote — and line 0 for whole-spec violations
-    /// (no blocks, a port unused or used twice, budget exceeded; see
-    /// [`NetlistSpec::check`]).
+    /// value, a `relay` count over [`MAX_RELAY_STATIONS`] or a `latency`
+    /// over [`MAX_LATENCY`], an unterminated quote — and line 0 for
+    /// whole-spec violations (no blocks, a port unused or used twice,
+    /// budget exceeded; see [`NetlistSpec::check`]).
     pub fn parse(text: &str) -> Result<Self, SpecError> {
         let mut spec = NetlistSpec::default();
         for (line, raw) in directive_lines(text) {
@@ -118,15 +131,13 @@ fn parse_channel(spec: &mut NetlistSpec, tokens: &[String]) -> Result<(), String
     let to = endpoint(&name, "to", pairs.take("to"))?;
     let relay_stations = match pairs.take("relay") {
         None => 0,
-        Some(v) => parse_count(&v).ok_or_else(|| {
-            format!("channel '{name}' has relay '{v}'; expected a non-negative integer")
-        })?,
+        Some(v) => {
+            parse_relay_count("relay", &v).map_err(|e| format!("channel '{name}' has {e}"))?
+        }
     };
     let latency = match pairs.take("latency") {
         None => None,
-        Some(v) => Some(v.parse::<u64>().map_err(|_| {
-            format!("channel '{name}' has latency '{v}'; expected a non-negative integer")
-        })?),
+        Some(v) => Some(parse_latency_value(&v).map_err(|e| format!("channel '{name}' has {e}"))?),
     };
     if let Some(key) = pairs.first_key() {
         return Err(format!("unknown key '{key}' for channel '{name}'"));
@@ -151,8 +162,7 @@ fn parse_channel(spec: &mut NetlistSpec, tokens: &[String]) -> Result<(), String
 /// `relay <channel> <count>` — overrides the channel's relay-station count.
 fn parse_relay(spec: &mut NetlistSpec, tokens: &[String]) -> Result<(), String> {
     let (name, value) = two_operands(tokens, "relay <channel> <count>")?;
-    let count = parse_count(value)
-        .ok_or_else(|| format!("relay count '{value}'; expected a non-negative integer"))?;
+    let count = parse_relay_count("relay count", value)?;
     let channel = find_channel_mut(spec, name)?;
     channel.relay_stations = count;
     Ok(())
@@ -161,9 +171,7 @@ fn parse_relay(spec: &mut NetlistSpec, tokens: &[String]) -> Result<(), String> 
 /// `latency <channel> <periods>` — overrides the channel's wire latency.
 fn parse_latency(spec: &mut NetlistSpec, tokens: &[String]) -> Result<(), String> {
     let (name, value) = two_operands(tokens, "latency <channel> <periods>")?;
-    let latency = value
-        .parse::<u64>()
-        .map_err(|_| format!("latency '{value}'; expected a non-negative integer"))?;
+    let latency = parse_latency_value(value)?;
     let channel = find_channel_mut(spec, name)?;
     channel.latency = Some(latency);
     Ok(())
@@ -220,6 +228,27 @@ fn find_channel_mut<'a>(
 
 fn parse_count(value: &str) -> Option<usize> {
     value.parse::<usize>().ok()
+}
+
+/// A relay-station count (`what` names it in the message): a non-negative
+/// integer up to [`MAX_RELAY_STATIONS`].
+fn parse_relay_count(what: &str, value: &str) -> Result<usize, String> {
+    parse_count(value)
+        .filter(|&count| count <= MAX_RELAY_STATIONS)
+        .ok_or_else(|| {
+            format!("{what} '{value}'; expected a non-negative integer up to {MAX_RELAY_STATIONS}")
+        })
+}
+
+/// A `latency` value: a non-negative integer up to [`MAX_LATENCY`].
+fn parse_latency_value(value: &str) -> Result<u64, String> {
+    value
+        .parse::<u64>()
+        .ok()
+        .filter(|&latency| latency <= MAX_LATENCY)
+        .ok_or_else(|| {
+            format!("latency '{value}'; expected a non-negative integer up to {MAX_LATENCY}")
+        })
 }
 
 /// Names travel through endpoints (`<block>.<port>`) and `key=value`

@@ -293,3 +293,94 @@ proptest! {
         prop_assert_eq!(printed, reparsed.print());
     }
 }
+
+#[test]
+fn relay_and_latency_values_over_their_caps_name_their_line() {
+    use wp_spec::{MAX_LATENCY, MAX_RELAY_STATIONS};
+    let over_relay = MAX_RELAY_STATIONS + 1;
+    let over_latency = MAX_LATENCY + 1;
+    let cases: Vec<(String, String)> = vec![
+        (
+            format!("channel x from=a.o to=b.i relay={over_relay}"),
+            format!("channel 'x' has relay '{over_relay}'; expected a non-negative integer up to"),
+        ),
+        (
+            format!("channel x from=a.o to=b.i latency={over_latency}"),
+            format!("channel 'x' has latency '{over_latency}'"),
+        ),
+        (
+            "channel x from=a.o to=b.i latency=9223372036854775807".to_string(),
+            "latency '9223372036854775807'".to_string(),
+        ),
+        (
+            "channel x from=a.o to=b.i latency=50000000".to_string(),
+            "latency '50000000'".to_string(),
+        ),
+        (
+            format!("relay ab {over_relay}"),
+            format!("relay count '{over_relay}'"),
+        ),
+        (
+            format!("latency ab {over_latency}"),
+            format!("latency '{over_latency}'"),
+        ),
+    ];
+    for (bad, fragment) in &cases {
+        // The channel cases need free ports for the new channel.
+        let text = if bad.starts_with("channel") {
+            format!(
+                "{LOOP}port a out o2\nport b in i2\n{}\n",
+                bad.replace("a.o to=b.i", "a.o2 to=b.i2")
+            )
+        } else {
+            format!("{LOOP}{bad}\n")
+        };
+        let (line, message) = parse_err(&text);
+        let expected_line = if bad.starts_with("channel") { 11 } else { 9 };
+        assert_eq!(line, expected_line, "{bad:?}: {message}");
+        assert!(message.contains(fragment.as_str()), "{bad:?}: {message:?}");
+    }
+    // Values at the caps are accepted.
+    let spec = NetlistSpec::parse(&format!(
+        "{LOOP}relay ab {MAX_RELAY_STATIONS}\nlatency ba {MAX_LATENCY}\n"
+    ))
+    .expect("values at the caps parse");
+    assert_eq!(spec.channels[0].relay_stations, MAX_RELAY_STATIONS);
+}
+
+#[test]
+fn committed_hostile_specs_fail_to_parse_with_their_line() {
+    for text in [
+        include_str!("data/hostile_latency_overflow.nl"),
+        include_str!("data/hostile_latency_huge.nl"),
+    ] {
+        let (line, message) = parse_err(text);
+        assert_eq!(line, 11, "{message}");
+        assert!(message.contains("channel 'ab' has latency"), "{message}");
+    }
+}
+
+#[test]
+fn lowering_rejects_a_relay_total_over_the_cap_before_building() {
+    use wp_spec::{lower, synthetic_registry, MAX_LATENCY, MAX_RELAY_STATIONS};
+    let build_err = |spec: &NetlistSpec| match lower::<u64>(spec, &synthetic_registry()) {
+        Err(SpecError::Build { message }) => message,
+        other => panic!("expected a build error, got {:?}", other.map(|_| ())),
+    };
+    // A latency at its cap, pipelined for a clock much faster than the
+    // reference: ⌈latency / period⌉ − 1 stations on one channel.
+    let text = format!("{LOOP}latency ab {MAX_LATENCY}\n");
+    for period in [0.5, 1e-3, 1e-300] {
+        let mut spec = NetlistSpec::parse(&text).expect("parses");
+        spec.insert_relays(period);
+        let message = build_err(&spec);
+        assert!(message.contains("over the limit"), "{period}: {message}");
+    }
+    // Programmatic counts whose sum overflows a usize are rejected too.
+    let mut spec = NetlistSpec::parse(LOOP).expect("parses");
+    spec.apply_relay_assignment(&[usize::MAX, usize::MAX]);
+    assert!(build_err(&spec).contains("over the limit"));
+    // The whole cap, spread over the channels, still lowers.
+    spec.apply_relay_assignment(&[MAX_RELAY_STATIONS - 1, 1]);
+    lower::<u64>(&spec, &synthetic_registry()).expect("a total at the cap lowers");
+}
