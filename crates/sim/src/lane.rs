@@ -271,54 +271,19 @@ fn iter_lanes(mut mask: u64) -> impl Iterator<Item = usize> {
 /// Splits packed control words into per-lane bit-slices: on return lane
 /// `l`'s slice is `out[l * chunks .. (l + 1) * chunks]`, where bit `j` of
 /// its word `k` is bit `l` of `words[64 * k + j]`.  Returns `chunks`.
-///
-/// Narrow batches gather each lane's bits directly; wider ones transpose
-/// 64 words at a time, which costs the same for any lane count (the
-/// crossover on the CI corpus lies between 4 and 8 lanes).
 fn lane_slices(words: &[u64], lanes: usize, out: &mut Vec<u64>) -> usize {
     let chunks = words.len().div_ceil(64);
     out.clear();
     out.resize(lanes * chunks, 0);
-    if lanes <= 4 {
-        for lane in 0..lanes {
-            for (k, chunk) in words.chunks(64).enumerate() {
-                out[lane * chunks + k] = chunk
-                    .iter()
-                    .enumerate()
-                    .fold(0, |acc, (j, &w)| acc | ((w >> lane) & 1) << j);
-            }
-        }
-        return chunks;
-    }
-    let mut block = [0u64; 64];
-    for (k, chunk) in words.chunks(64).enumerate() {
-        block[..chunk.len()].copy_from_slice(chunk);
-        block[chunk.len()..].fill(0);
-        transpose64(&mut block);
-        for (lane, &row) in block.iter().take(lanes).enumerate() {
-            out[lane * chunks + k] = row;
+    for lane in 0..lanes {
+        for (k, chunk) in words.chunks(64).enumerate() {
+            out[lane * chunks + k] = chunk
+                .iter()
+                .enumerate()
+                .fold(0, |acc, (j, &w)| acc | ((w >> lane) & 1) << j);
         }
     }
     chunks
-}
-
-/// Transposes a 64×64 bit matrix in place (bit `j` of row `i` ↔ bit `i` of
-/// row `j`) by recursive block swaps: at each width `w`, the upper-`w`-bit
-/// halves of rows `r` trade places with the lower halves of rows `r + w`.
-fn transpose64(rows: &mut [u64; 64]) {
-    let mut width = 32;
-    let mut mask: u64 = 0x0000_0000_ffff_ffff;
-    while width != 0 {
-        for base in (0..64).step_by(2 * width) {
-            for r in base..base + width {
-                let t = ((rows[r] >> width) ^ rows[r + width]) & mask;
-                rows[r] ^= t << width;
-                rows[r + width] ^= t;
-            }
-        }
-        width >>= 1;
-        mask ^= mask << width;
-    }
 }
 
 /// The per-lane inputs of a lane batch: everything a scenario may vary
@@ -377,8 +342,8 @@ enum PeriodSearch {
         snapshot: Vec<u64>,
     },
     /// Nothing left to detect: a verified period did not extrapolate (the
-    /// lane finishes by plain simulation), or the batch has a stall
-    /// schedule.
+    /// lane finishes by plain simulation), the lane was still hashing when
+    /// the detection window closed, or the batch has a stall schedule.
     Done,
 }
 
@@ -852,6 +817,15 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
     /// so the control plane alone does not determine the future — and
     /// simply simulate to their goals.
     ///
+    /// Per-lane detection trades memory and time for lanes that never
+    /// extrapolate: each lane keeps its own first-seen map, so a batch whose
+    /// lanes find no period inside the window holds up to
+    /// `lanes × ORACLE_DETECTION_WINDOW` entries at once (about 2.2 MB per
+    /// lane, ~140 MB for 64 lanes, where one joint map held ~2.2 MB); and a
+    /// batch of identical lanes, whose
+    /// joint period already equalled each lane's, hashes every slice
+    /// instead of one joint state.
+    ///
     /// Returns one [`OracleRun`] (or the lane's [`SimError`], exactly as
     /// plain simulation would have produced it) per lane, in lane order.
     /// As with the scalar oracle, an extrapolated kernel's architectural
@@ -875,6 +849,12 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
                 Some(_) => PeriodSearch::Done,
             })
             .collect();
+        // Lanes whose search is not `Done`: stall batches start (and stay)
+        // empty, so they never look at a lane's search state.
+        let mut searching = match self.stall {
+            None => self.lane_mask,
+            Some(_) => 0,
+        };
         let mut words: Vec<u64> = Vec::new();
         let mut slices: Vec<u64> = Vec::new();
         // Fire rows (`n` masks per cycle) of every cycle since `log_start`:
@@ -912,8 +892,9 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
             // again (hashing stops at the window), so the fire log below
             // covers every cycle from `log_start` to the clock.
             let clock = self.clock;
+            searching &= undecided;
             let (mut detecting, mut due) = (false, false);
-            for lane in iter_lanes(undecided) {
+            for lane in iter_lanes(searching) {
                 match &search[lane] {
                     PeriodSearch::Hashing(_) if clock <= ORACLE_DETECTION_WINDOW => {
                         (detecting, due) = (true, true);
@@ -922,13 +903,17 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
                         detecting = true;
                         due |= start + period == clock;
                     }
-                    _ => {}
+                    _ => {
+                        // Past the window a hashing lane can never detect.
+                        search[lane] = PeriodSearch::Done;
+                        searching &= !(1u64 << lane);
+                    }
                 }
             }
             if due {
                 self.control_vec(&mut words);
                 let chunks = lane_slices(&words, self.lanes, &mut slices);
-                for lane in iter_lanes(undecided) {
+                for lane in iter_lanes(searching) {
                     let slice = &slices[lane * chunks..(lane + 1) * chunks];
                     if let PeriodSearch::Verifying {
                         start,
@@ -954,6 +939,7 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
                             // plain simulation; its verified period would
                             // only re-verify, so its detection is done.
                             search[lane] = PeriodSearch::Done;
+                            searching &= !(1u64 << lane);
                             continue;
                         }
                         search[lane] = PeriodSearch::Hashing(HashMap::new());
@@ -980,7 +966,7 @@ impl<V: Clone + PartialEq> LaneLidSimulator<V> {
                     }
                 }
                 // Keep only the fire rows a pending verification still needs.
-                let oldest = iter_lanes(undecided)
+                let oldest = iter_lanes(searching)
                     .filter_map(|lane| match &search[lane] {
                         PeriodSearch::Verifying { start, .. } => Some(*start),
                         _ => None,
@@ -1717,7 +1703,6 @@ mod tests {
                     state
                 })
                 .collect();
-            // Both the narrow gather and the 64×64 transpose.
             for lanes in [1usize, 4, 5, 64] {
                 let mut out = Vec::new();
                 let chunks = lane_slices(&words, lanes, &mut out);
